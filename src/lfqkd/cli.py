@@ -8,9 +8,9 @@ simulate    run a seeded Monte Carlo batch and print its summary
 compare     check an honest Monte Carlo batch against the closed form
 
 All parameters can also come from a JSON config file (``--config``) whose
-keys mirror the flag names with underscores; explicit flags win. Outputs are
-deterministic for identical invocations and written atomically when ``--out``
-is given.
+keys mirror the flag names with underscores and whose values must have the
+flag's type; explicit flags win. Outputs are deterministic for identical
+invocations and written atomically when ``--out`` is given.
 
 Exit status: 0 success, 2 invalid configuration, 3 empty threshold curve,
 4 degenerate simulation (no single clicks).
@@ -109,6 +109,15 @@ def _render(payload: dict, fmt: str) -> str:
     return _render_csv_row(payload) if fmt == "csv" else _render_json(payload)
 
 
+def _check_config_type(key: str, value, flag_type) -> None:
+    """Reject a config value that its flag's type would not produce."""
+    accepted = {float: (int, float), int: (int,)}.get(flag_type, (str,))
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(
+            f"config key {key!r} must be of type {flag_type.__name__}, got {value!r}"
+        )
+
+
 def _merged_config(args: argparse.Namespace, defaults: dict) -> dict:
     """Resolve each option as: explicit flag > config-file value > default."""
     config = {}
@@ -120,6 +129,8 @@ def _merged_config(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = sorted(set(config) - set(defaults))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in config.items():
+            _check_config_type(key, value, args.flag_types[key])
     resolved = {}
     for key, default in defaults.items():
         value = getattr(args, key, None)
@@ -291,6 +302,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _flag_types(parser: argparse.ArgumentParser) -> dict:
+    """Value type of each of ``parser``'s flags, keyed by config-file name."""
+    return {action.dest: action.type or str for action in parser._actions}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lfqkd",
@@ -333,6 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_cmp, "json")
     p_cmp.set_defaults(handler=cmd_compare)
 
+    for subparser in sub.choices.values():
+        subparser.set_defaults(flag_types=_flag_types(subparser))
     return parser
 
 

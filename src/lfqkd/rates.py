@@ -39,8 +39,7 @@ from typing import ClassVar, Union
 
 from .numerics import binary_entropy
 
-#: Error rate of a uniformly assigned bit. Fixed by construction; kept as a
-#: named value (and a SystemParams field) so tests can assert it.
+#: Error rate e_0 of a uniformly assigned bit, fixed by construction.
 RANDOM_ASSIGNMENT_ERROR_RATE = 0.5
 
 
@@ -69,11 +68,9 @@ class SystemParams:
         Channel transmittance up to the quantum memory (memory model only).
     eta_m : float
         Memory readout probability (memory model only).
-    e_0 : float
-        Random-assignment error rate; fixed at 1/2.
-    dark_count : float
-        Per-detector dark-click probability. Hook for the simulator only;
-        the closed-form channel models reject nonzero values.
+
+    Dark counts are neglected by the closed forms, so there is no dark-count
+    field; ``lfqkd.simulate.run_trials`` has a ``dark_count`` hook instead.
     """
 
     eta: float = 0.0
@@ -81,19 +78,12 @@ class SystemParams:
     mu: float = 0.0
     eta_c: float = 0.0
     eta_m: float = 0.0
-    e_0: float = RANDOM_ASSIGNMENT_ERROR_RATE
-    dark_count: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("eta", "e_d", "eta_c", "eta_m", "e_0", "dark_count"):
+        for name in ("eta", "e_d", "eta_c", "eta_m"):
             _check_probability(name, getattr(self, name))
         if self.mu < 0.0:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
-        if self.e_0 != RANDOM_ASSIGNMENT_ERROR_RATE:
-            raise ValueError(
-                f"e_0 is fixed at {RANDOM_ASSIGNMENT_ERROR_RATE} by the "
-                f"random-assignment rule, got {self.e_0}"
-            )
 
 
 @dataclass(frozen=True)
@@ -202,15 +192,14 @@ class KeyRateBreakdown:
         return max(self.rate, 0.0)
 
 
-def qber(stats: DetectionStats, e_0: float = RANDOM_ASSIGNMENT_ERROR_RATE) -> float:
-    """Overall QBER delta = E_s*Q_s + e_0*(1 - Q_s).
+def qber(stats: DetectionStats) -> float:
+    """Overall QBER delta = E_s*Q_s + e_0*(1 - Q_s) with e_0 = 1/2.
 
     The second term is the error contribution of the uniformly assigned bits
     on no-clicks and double clicks. The result is a convex combination of
     ``e_s`` and ``e_0`` and therefore lies between them.
     """
-    _check_probability("e_0", e_0)
-    return stats.e_s * stats.q_s + e_0 * (1.0 - stats.q_s)
+    return stats.e_s * stats.q_s + RANDOM_ASSIGNMENT_ERROR_RATE * (1.0 - stats.q_s)
 
 
 def rate_basis_independent_baseline(delta: float) -> float:
@@ -239,15 +228,13 @@ def phase_error_single_bound(delta: float, q_s: float) -> float:
     return min(delta / q_s, 0.5)
 
 
-def key_rate_single_click(
-    stats: DetectionStats, e_0: float = RANDOM_ASSIGNMENT_ERROR_RATE
-) -> KeyRateBreakdown:
+def key_rate_single_click(stats: DetectionStats) -> KeyRateBreakdown:
     """Key rate Q_s * (1 - H2(E_s) - H2(delta/Q_s)) of the single-click string.
 
     At Q_s = 0 there is no single-click string: the breakdown carries rate 0,
     an infinite (vacuous) phase bound, and zero cost terms.
     """
-    delta = qber(stats, e_0)
+    delta = qber(stats)
     if stats.q_s == 0.0:
         return KeyRateBreakdown(
             rate=0.0, delta=delta, phase_bound=math.inf, ec_cost=0.0, pa_cost=0.0
@@ -264,18 +251,8 @@ def key_rate_single_click(
     )
 
 
-def _reject_dark_counts(params: SystemParams) -> None:
-    # The closed-form channel models are derived with dark counts neglected.
-    if params.dark_count != 0.0:
-        raise ValueError(
-            "the closed-form channel models neglect dark counts; "
-            f"got dark_count={params.dark_count}"
-        )
-
-
 def single_photon_stats(params: SystemParams) -> DetectionStats:
     """Channel model for a single-photon source: Q_s = eta, E_s = e_d."""
-    _reject_dark_counts(params)
     return DetectionStats(q_s=params.eta, e_s=params.e_d)
 
 
@@ -292,13 +269,12 @@ def coherent_stats(
         Y1  = eta                    single-photon single-click yield,
         delta_1 = e_d*Y1 + e_0*(1 - Y1).
     """
-    _reject_dark_counts(params)
     if params.mu <= 0.0:
         raise ValueError(f"mu must be positive for a coherent source, got {params.mu}")
     q_s = -math.expm1(-params.eta * params.mu)
     p_1 = params.mu * math.exp(-params.mu)
     y_1 = params.eta
-    delta_1 = params.e_d * y_1 + params.e_0 * (1.0 - y_1)
+    delta_1 = params.e_d * y_1 + RANDOM_ASSIGNMENT_ERROR_RATE * (1.0 - y_1)
     return DetectionStats(q_s=q_s, e_s=params.e_d), p_1, y_1, delta_1
 
 
@@ -317,7 +293,6 @@ def coherent_memory_stats(
     Raises DegenerateInputError at eta_c = 0 (the trigger never fires and P1
     is a 0/0 form).
     """
-    _reject_dark_counts(params)
     if params.mu <= 0.0:
         raise ValueError(f"mu must be positive for a coherent source, got {params.mu}")
     if params.eta_c == 0.0:
@@ -330,7 +305,7 @@ def coherent_memory_stats(
     )
     q_s = params.eta_m
     y_1 = params.eta_m
-    delta_1 = params.e_d * params.eta_m + params.e_0 * (1.0 - params.eta_m)
+    delta_1 = params.e_d * y_1 + RANDOM_ASSIGNMENT_ERROR_RATE * (1.0 - y_1)
     return DetectionStats(q_s=q_s, e_s=params.e_d), p_1, y_1, delta_1
 
 

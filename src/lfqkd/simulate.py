@@ -7,11 +7,14 @@ pulse to a classical outcome flag — no click, single click with a bit, or
 double click — so no density-matrix machinery is needed for these scenarios.
 
 Pre-processing follows the loophole-free rule: single clicks keep their bit,
-while no-clicks and double clicks receive a uniformly random bit. Records
-mark the randomly assigned bits so the key can be restricted to the
-single-click string while the random assignments still enter the overall
-QBER. Tallies are taken over basis-matched (sifted) pulses; Q_s and E_s
-estimate the analytic channel model of the matching source.
+while no-clicks and double clicks receive a uniformly random bit. A bit is
+randomly assigned exactly when the pulse's ``kind`` is not
+``ClickKind.SINGLE``, so the key can be restricted to the single-click string
+while the random assignments still enter the overall QBER. Every rule is
+array code over one shard of pulses: ``run_trials`` tallies the shard arrays
+and ``trial_records`` returns them as one structured array. Tallies are
+taken over basis-matched (sifted) pulses; Q_s and E_s estimate the analytic
+channel model of the matching source.
 
 Determinism: a batch is a pure function of (model, adversary, n_pulses,
 seed, dark_count). Pulses are generated in fixed-size shards of
@@ -34,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -59,38 +62,16 @@ SHARD_SIZE = 1 << 18
 DEFAULT_STRONG_PULSE_PHOTONS = 20
 
 
-class Basis(IntEnum):
-    Z = 0
-    X = 1
-
-
 class ClickKind(IntEnum):
+    """Detector outcome of one pulse; the code is the number of detectors fired."""
+
     NO_CLICK = 0
     SINGLE = 1
     DOUBLE = 2
 
 
-@dataclass(frozen=True)
-class ClickOutcome:
-    """Detector outcome of one pulse; ``bit`` is set only for single clicks."""
-
-    kind: ClickKind
-    bit: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == ClickKind.SINGLE:
-            if self.bit not in (0, 1):
-                raise ValueError(f"a single click needs bit 0 or 1, got {self.bit}")
-        elif self.bit is not None:
-            raise ValueError(f"{self.kind.name} carries no bit, got {self.bit}")
-
-
-NO_CLICK = ClickOutcome(ClickKind.NO_CLICK)
-DOUBLE_CLICK = ClickOutcome(ClickKind.DOUBLE)
-
-
-def single_click(bit: int) -> ClickOutcome:
-    return ClickOutcome(ClickKind.SINGLE, bit)
+#: Fields of a ``trial_records`` row.
+_RECORD_FIELDS = ("alice_bit", "alice_basis", "bob_basis", "kind", "assigned_bit")
 
 
 @dataclass(frozen=True)
@@ -114,23 +95,6 @@ class StrongPulse:
 
 
 AdversaryStrategy = Union[None, ExtremeTimeShift, StrongPulse]
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One pulse after pre-processing.
-
-    ``from_random_assignment`` is true exactly when the outcome was a
-    no-click or double click, so the assigned bit was drawn uniformly
-    instead of coming from a detector.
-    """
-
-    alice_bit: int
-    alice_basis: Basis
-    bob_basis: Basis
-    outcome: ClickOutcome
-    assigned_bit: int
-    from_random_assignment: bool
 
 
 @dataclass(frozen=True)
@@ -184,14 +148,6 @@ def _scenario_tag(adversary: AdversaryStrategy) -> str:
     if adversary is None:
         return "honest"
     return adversary.tag
-
-
-def _shards(seed: int, n_pulses: int):
-    n_shards = -(-n_pulses // SHARD_SIZE)
-    children = np.random.SeedSequence(seed).spawn(n_shards)
-    for i, child in enumerate(children):
-        shard_n = min(SHARD_SIZE, n_pulses - i * SHARD_SIZE)
-        yield np.random.default_rng(child), shard_n
 
 
 def _honest_hits(model, alice_bits, matched, n, rng, dark_count):
@@ -280,19 +236,35 @@ def _simulate_shard(model, adversary, n, rng, dark_count):
         raise TypeError(f"unknown adversary strategy: {adversary!r}")
 
     assign_bits = rng.integers(0, 2, size=n, dtype=np.int8)
-    single = hit0 ^ hit1
-    double = hit0 & hit1
-    assigned = np.where(single, hit1.astype(np.int8), assign_bits)
+    kind = hit0.astype(np.int8) + hit1.astype(np.int8)
+    assigned = np.where(kind == ClickKind.SINGLE, hit1.astype(np.int8), assign_bits)
     return {
-        "alice_bits": alice_bits,
-        "alice_bases": alice_bases,
-        "bob_bases": bob_bases,
+        "alice_bit": alice_bits,
+        "alice_basis": alice_bases,
+        "bob_basis": bob_bases,
+        "kind": kind,
+        "assigned_bit": assigned,
         "matched": matched,
-        "single": single,
-        "double": double,
-        "none": ~(hit0 | hit1),
-        "assigned": assigned,
     }
+
+
+def _pulse_shards(model, adversary, n_pulses, seed, dark_count) -> Iterator[dict]:
+    """Check the inputs, then simulate and yield one shard at a time, in order.
+
+    The one input check for every entry point. Shard i draws from a
+    generator seeded by child i of ``SeedSequence(seed)``.
+    """
+    if n_pulses <= 0:
+        raise ValueError(f"n_pulses must be positive, got {n_pulses}")
+    if not 0.0 <= dark_count <= 1.0:
+        raise ValueError(f"dark_count must be in [0, 1], got {dark_count}")
+    if not isinstance(model, (SinglePhoton, CoherentDecoy, CoherentDecoyMemory)):
+        raise TypeError(f"unknown source model: {model!r}")
+    n_shards = -(-n_pulses // SHARD_SIZE)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_shards)):
+        shard_n = min(SHARD_SIZE, n_pulses - i * SHARD_SIZE)
+        rng = np.random.default_rng(child)
+        yield _simulate_shard(model, adversary, shard_n, rng, dark_count)
 
 
 def run_trials(
@@ -307,42 +279,32 @@ def run_trials(
     ``n_pulses`` counts generated pulses; the returned batch's ``n_pulses``
     is the basis-matched subset those tallies cover. Identical arguments
     produce a bit-identical batch. ``dark_count`` adds independent spurious
-    clicks per detector and is a modeling hook only — it is rejected by the
-    closed-form comparisons, not here.
+    clicks per detector; it is a simulator-only hook, since the closed forms
+    neglect dark counts.
     """
-    if n_pulses <= 0:
-        raise ValueError(f"n_pulses must be positive, got {n_pulses}")
-    if not 0.0 <= dark_count <= 1.0:
-        raise ValueError(f"dark_count must be in [0, 1], got {dark_count}")
-    if not isinstance(model, (SinglePhoton, CoherentDecoy, CoherentDecoyMemory)):
-        raise TypeError(f"unknown source model: {model!r}")
-
-    n_sifted = n_single = n_single_err = 0
-    n_double = n_double_err = n_none = n_none_err = 0
-    for rng, shard_n in _shards(seed, n_pulses):
-        a = _simulate_shard(model, adversary, shard_n, rng, dark_count)
-        m = a["matched"]
-        err = a["assigned"] != a["alice_bits"]
-        n_sifted += int(m.sum())
-        n_single += int((a["single"] & m).sum())
-        n_single_err += int((a["single"] & m & err).sum())
-        n_double += int((a["double"] & m).sum())
-        n_double_err += int((a["double"] & m & err).sum())
-        n_none += int((a["none"] & m).sum())
-        n_none_err += int((a["none"] & m & err).sum())
+    # Sifted pulses and sifted errors, indexed by ClickKind code.
+    n_kind = [0] * len(ClickKind)
+    n_err = [0] * len(ClickKind)
+    for a in _pulse_shards(model, adversary, n_pulses, seed, dark_count):
+        matched = a["matched"]
+        matched_err = matched & (a["assigned_bit"] != a["alice_bit"])
+        for k in ClickKind:
+            is_k = a["kind"] == k
+            n_kind[k] += int(np.count_nonzero(is_k & matched))
+            n_err[k] += int(np.count_nonzero(is_k & matched_err))
 
     return TrialBatch(
-        n_pulses=n_sifted,
-        n_single=n_single,
-        n_single_errors=n_single_err,
-        n_double=n_double,
-        n_none=n_none,
+        n_pulses=sum(n_kind),
+        n_single=n_kind[ClickKind.SINGLE],
+        n_single_errors=n_err[ClickKind.SINGLE],
+        n_double=n_kind[ClickKind.DOUBLE],
+        n_none=n_kind[ClickKind.NO_CLICK],
         seed=seed,
         scenario_tag=_scenario_tag(adversary),
         model_tag=model.tag,
         n_generated=n_pulses,
-        n_double_errors=n_double_err,
-        n_none_errors=n_none_err,
+        n_double_errors=n_err[ClickKind.DOUBLE],
+        n_none_errors=n_err[ClickKind.NO_CLICK],
     )
 
 
@@ -352,44 +314,30 @@ def trial_records(
     n_pulses: int = 1000,
     seed: int = 0,
     dark_count: float = 0.0,
-) -> list[TrialRecord]:
+) -> np.ndarray:
     """Per-pulse records of the same pulse stream ``run_trials`` tallies.
 
-    Materializes one object per pulse (including basis-mismatched ones), so
-    keep ``n_pulses`` moderate.
+    Returns a structured array with one int8 row per generated pulse,
+    basis-mismatched ones included, and fields ``alice_bit``,
+    ``alice_basis``, ``bob_basis`` (0 for Z, 1 for X), ``kind`` (a
+    ``ClickKind`` code) and ``assigned_bit``. The assigned bit is the
+    detector's for a single click and uniformly random otherwise.
     """
-    if n_pulses <= 0:
-        raise ValueError(f"n_pulses must be positive, got {n_pulses}")
-    records: list[TrialRecord] = []
-    for rng, shard_n in _shards(seed, n_pulses):
-        a = _simulate_shard(model, adversary, shard_n, rng, dark_count)
-        for i in range(shard_n):
-            if a["single"][i]:
-                outcome = single_click(int(a["assigned"][i]))
-            elif a["double"][i]:
-                outcome = DOUBLE_CLICK
-            else:
-                outcome = NO_CLICK
-            records.append(
-                TrialRecord(
-                    alice_bit=int(a["alice_bits"][i]),
-                    alice_basis=Basis(int(a["alice_bases"][i])),
-                    bob_basis=Basis(int(a["bob_bases"][i])),
-                    outcome=outcome,
-                    assigned_bit=int(a["assigned"][i]),
-                    from_random_assignment=outcome.kind != ClickKind.SINGLE,
-                )
-            )
+    shards = list(_pulse_shards(model, adversary, n_pulses, seed, dark_count))
+    records = np.empty(n_pulses, dtype=[(name, np.int8) for name in _RECORD_FIELDS])
+    for name in _RECORD_FIELDS:
+        records[name] = np.concatenate([a[name] for a in shards])
     return records
 
 
 def empirical_stats(batch: TrialBatch) -> DetectionStats:
     """Empirical (Q_s, E_s) of a batch.
 
-    ``e_s`` is 0 for a degenerate batch (no single clicks); check
-    ``batch.is_degenerate`` before trusting it.
+    ``q_s`` is 0 when no pulse survived sifting and ``e_s`` is 0 for a
+    degenerate batch (no single clicks); check ``batch.is_degenerate``
+    before trusting them.
     """
-    q_s = batch.n_single / batch.n_pulses
+    q_s = batch.n_single / batch.n_pulses if batch.n_pulses else 0.0
     e_s = batch.n_single_errors / max(batch.n_single, 1)
     return DetectionStats(q_s=q_s, e_s=e_s)
 
@@ -488,52 +436,3 @@ def compare_to_analytic(model: SourceModel, batch: TrialBatch) -> ComparisonRepo
         q_s_pass=_within(emp.q_s, stats.q_s, batch.n_pulses, budget),
         e_s_pass=e_pass,
     )
-
-
-def apply_extreme_time_shift(destined_bit: int, rng: np.random.Generator) -> ClickOutcome:
-    """Outcome of one pulse under the extreme time-shift attack.
-
-    ``destined_bit`` is the detector the pulse would reach absent the
-    attack. Eve activates a uniformly chosen detector; the pulse clicks only
-    if it lands on the active one, so every produced bit is known to Eve.
-    """
-    if destined_bit not in (0, 1):
-        raise ValueError(f"destined_bit must be 0 or 1, got {destined_bit}")
-    active = int(rng.integers(0, 2))
-    if destined_bit == active:
-        return single_click(destined_bit)
-    return NO_CLICK
-
-
-def apply_strong_pulse(
-    alice_bit: int,
-    alice_basis: Basis | int,
-    bob_basis: Basis | int,
-    n_photons: int = DEFAULT_STRONG_PULSE_PHOTONS,
-    rng: np.random.Generator | None = None,
-) -> ClickOutcome:
-    """Outcome of one pulse under the strong-pulse attack.
-
-    Eve measures in a uniform basis (learning Alice's bit when the bases
-    match, a uniform bit otherwise) and resends ``n_photons`` copies without
-    loss. A Bob basis equal to Eve's always single-clicks with Eve's bit; a
-    conjugate basis routes every copy 50/50 and double-clicks unless all
-    copies land on one side, which happens with probability
-    ``2**(1 - n_photons)``.
-    """
-    if alice_bit not in (0, 1):
-        raise ValueError(f"alice_bit must be 0 or 1, got {alice_bit}")
-    if n_photons < 1:
-        raise ValueError(f"n_photons must be >= 1, got {n_photons}")
-    if rng is None:
-        raise ValueError("an explicit rng is required for reproducibility")
-    eve_basis = int(rng.integers(0, 2))
-    if eve_basis == int(alice_basis):
-        eve_bit = alice_bit
-    else:
-        eve_bit = int(rng.integers(0, 2))
-    if int(bob_basis) == eve_basis:
-        return single_click(eve_bit)
-    if rng.random() < 2.0 ** (1 - n_photons):
-        return single_click(int(rng.integers(0, 2)))
-    return DOUBLE_CLICK

@@ -170,6 +170,17 @@ class TestSimulateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_single"] == 0
 
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_zero_sifted_batch_is_degenerate(self, capsys, seed):
+        # The one generated pulse is basis-mismatched for these seeds.
+        assert run_cli(
+            "simulate", "--model", "single-photon", "--eta", "1",
+            "--n-pulses", "1", "--seed", seed,
+        ) == EXIT_DEGENERATE
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_pulses"] == 0
+        assert payload["q_s"] == 0.0
+
     def test_byte_identical_reruns(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
@@ -219,6 +230,16 @@ class TestCompareCommand:
         assert payload["q_s_offset_budget"] > 0.0
         assert payload["passed"] is True
 
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_zero_sifted_batch_fails(self, capsys, seed):
+        assert run_cli(
+            "compare", "--model", "single-photon", "--eta", "1",
+            "--n-pulses", "1", "--seed", seed,
+        ) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_pulses"] == 0
+        assert payload["passed"] is False
+
     def test_rejects_adversarial_scenario(self, capsys):
         assert run_cli(
             "compare", "--model", "single-photon", "--eta", "1",
@@ -245,6 +266,21 @@ class TestConfigFile:
         config.write_text(json.dumps({"model": "single-photon", "eta": 1.0, "gamma": 2}))
         assert run_cli("rate", "--config", str(config)) == EXIT_INVALID_CONFIG
         assert "gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("rate", "eta", "0.5"),
+            ("rate", "ed", True),
+            ("simulate", "n_pulses", 1000.0),
+            ("simulate", "adversary", 1),
+        ],
+    )
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, command, key, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"model": "single-photon", "eta": 1.0, key: value}))
+        assert run_cli(command, "--config", str(config)) == EXIT_INVALID_CONFIG
+        assert repr(key) in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert run_cli("rate", "--model", "single-photon", "--eta", "1",

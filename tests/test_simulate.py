@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lfqkd.rates import (
     CoherentDecoy,
@@ -14,27 +15,30 @@ from lfqkd.rates import (
     qber,
 )
 from lfqkd.simulate import (
-    Basis,
     ClickKind,
-    ClickOutcome,
-    DOUBLE_CLICK,
     ExtremeTimeShift,
-    NO_CLICK,
     SHARD_SIZE,
     StrongPulse,
     TrialBatch,
-    apply_extreme_time_shift,
-    apply_strong_pulse,
     compare_to_analytic,
     empirical_stats,
     run_trials,
-    single_click,
     trial_records,
 )
 
 SP_MODEL = SinglePhoton(eta=0.7, e_d=0.03)
 COH_MODEL = CoherentDecoy(mu=0.5, eta=0.8, e_d=0.02)
 MEM_MODEL = CoherentDecoyMemory(mu=0.5, eta_c=0.01, eta_m=0.75, e_d=0.01)
+PERFECT = SinglePhoton(eta=1.0, e_d=0.0)
+
+#: Three honest sources and the two attacks.
+SCENARIOS = [
+    (SP_MODEL, None),
+    (COH_MODEL, None),
+    (MEM_MODEL, None),
+    (SP_MODEL, ExtremeTimeShift()),
+    (SP_MODEL, StrongPulse(20)),
+]
 
 
 def poisson_click_classes(lam, e_d, k_max=80):
@@ -78,16 +82,7 @@ class TestDeterminism:
 
 
 class TestPartition:
-    @pytest.mark.parametrize(
-        "model, adversary",
-        [
-            (SP_MODEL, None),
-            (COH_MODEL, None),
-            (MEM_MODEL, None),
-            (SP_MODEL, ExtremeTimeShift()),
-            (SP_MODEL, StrongPulse(20)),
-        ],
-    )
+    @pytest.mark.parametrize("model, adversary", SCENARIOS)
     def test_click_classes_partition_sifted_population(self, model, adversary):
         batch = run_trials(model, adversary, 120_000, seed=3)
         assert batch.n_single + batch.n_double + batch.n_none == batch.n_pulses
@@ -210,73 +205,37 @@ class TestAttacks:
 
 
 class TestScalarAttackOps:
-    def test_time_shift_click_iff_active_matches_destination(self):
-        rng = np.random.default_rng(101)
-        clicks = 0
-        trials = 40_000
-        for _ in range(trials):
-            outcome = apply_extreme_time_shift(1, rng)
-            if outcome.kind == ClickKind.SINGLE:
-                # Eve's active-detector choice identifies the bit exactly.
-                assert outcome.bit == 1
-                clicks += 1
-            else:
-                assert outcome == NO_CLICK
-        assert abs(clicks / trials - 0.5) <= binomial_3sigma(0.5, trials)
+    """Per-pulse behaviour of each attack, read off run_trials and trial_records."""
 
-    def test_time_shift_validates_bit(self):
-        with pytest.raises(ValueError):
-            apply_extreme_time_shift(2, np.random.default_rng(0))
+    def test_time_shift_click_iff_active_matches_destination(self):
+        records = trial_records(PERFECT, ExtremeTimeShift(), 40_000, seed=101)
+        sifted = records[records["alice_basis"] == records["bob_basis"]]
+        singles = sifted[sifted["kind"] == ClickKind.SINGLE]
+        # Eve's active-detector choice identifies the bit exactly.
+        assert np.array_equal(singles["assigned_bit"], singles["alice_bit"])
+        assert not np.any(records["kind"] == ClickKind.DOUBLE)
+        n = len(records)
+        clicks = np.count_nonzero(records["kind"] == ClickKind.SINGLE)
+        assert abs(clicks / n - 0.5) <= binomial_3sigma(0.5, n)
 
     def test_strong_pulse_single_photon_never_double_clicks(self):
-        rng = np.random.default_rng(7)
-        for _ in range(2_000):
-            outcome = apply_strong_pulse(0, Basis.Z, Basis.X, n_photons=1, rng=rng)
-            assert outcome.kind == ClickKind.SINGLE
+        batch = run_trials(PERFECT, StrongPulse(1), 20_000, seed=7)
+        assert batch.n_double == 0
 
     def test_strong_pulse_many_photons_matched_bases(self):
         # With a huge replacement pulse a conjugate Bob basis double-clicks
         # (probability 2**-59 otherwise), so matched-basis singles always
         # carry Eve's (= Alice's) bit, and doubles occur half the time.
-        rng = np.random.default_rng(11)
-        doubles = 0
-        trials = 20_000
-        for _ in range(trials):
-            alice_bit = int(rng.integers(0, 2))
-            outcome = apply_strong_pulse(alice_bit, Basis.Z, Basis.Z, n_photons=60, rng=rng)
-            if outcome.kind == ClickKind.SINGLE:
-                assert outcome.bit == alice_bit
-            else:
-                assert outcome == DOUBLE_CLICK
-                doubles += 1
-        assert abs(doubles / trials - 0.5) <= binomial_3sigma(0.5, trials)
-
-    def test_strong_pulse_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            apply_strong_pulse(0, Basis.Z, Basis.Z, n_photons=0, rng=rng)
-        with pytest.raises(ValueError):
-            apply_strong_pulse(2, Basis.Z, Basis.Z, rng=rng)
-        with pytest.raises(ValueError):
-            apply_strong_pulse(0, Basis.Z, Basis.Z)
+        batch = run_trials(PERFECT, StrongPulse(60), 40_000, seed=11)
+        assert batch.n_single_errors == 0
+        assert abs(batch.n_double / batch.n_pulses - 0.5) <= binomial_3sigma(
+            0.5, batch.n_pulses
+        )
 
     def test_strong_pulse_defaults_to_twenty_photons(self):
         assert StrongPulse().n_photons == 20
         with pytest.raises(ValueError):
             StrongPulse(n_photons=0)
-
-
-class TestClickOutcome:
-    def test_single_needs_bit(self):
-        with pytest.raises(ValueError):
-            ClickOutcome(ClickKind.SINGLE)
-        assert single_click(1).bit == 1
-
-    def test_non_single_rejects_bit(self):
-        with pytest.raises(ValueError):
-            ClickOutcome(ClickKind.NO_CLICK, bit=0)
-        with pytest.raises(ValueError):
-            ClickOutcome(ClickKind.DOUBLE, bit=1)
 
 
 class TestEmpiricalStats:
@@ -370,61 +329,75 @@ class TestCompareToAnalytic:
         assert math.isnan(report.e_s_z_score)
 
 
+def _kind_fractions(records):
+    return np.bincount(records["kind"], minlength=len(ClickKind)) / len(records)
+
+
+def _two_sample_se(p1, n1, p2, n2):
+    pooled = (p1 + p2) / 2.0
+    return np.sqrt(np.maximum(pooled * (1.0 - pooled), 1e-12) * (1.0 / n1 + 1.0 / n2))
+
+
 class TestTrialRecords:
     def test_random_assignment_marks_non_single_outcomes(self):
         records = trial_records(COH_MODEL, None, 30_000, seed=7)
-        for record in records:
-            assert record.from_random_assignment == (
-                record.outcome.kind != ClickKind.SINGLE
-            )
-            if record.outcome.kind == ClickKind.SINGLE:
-                assert record.assigned_bit == record.outcome.bit
+        assert records.dtype.names == (
+            "alice_bit", "alice_basis", "bob_basis", "kind", "assigned_bit"
+        )
+        assert set(np.unique(records["kind"])) == set(ClickKind)
+        # An opaque channel never clicks: every bit is assigned at random.
+        opaque = trial_records(SinglePhoton(eta=0.0, e_d=0.0), None, 30_000, seed=7)
+        assert np.all(opaque["kind"] == ClickKind.NO_CLICK)
+        errors = np.count_nonzero(opaque["assigned_bit"] != opaque["alice_bit"])
+        assert abs(errors / len(opaque) - 0.5) <= binomial_3sigma(0.5, len(opaque))
+        # A lossless, errorless channel always single-clicks on Alice's bit.
+        perfect = trial_records(PERFECT, None, 30_000, seed=7)
+        sifted = perfect[perfect["alice_basis"] == perfect["bob_basis"]]
+        assert np.all(perfect["kind"] == ClickKind.SINGLE)
+        assert np.array_equal(sifted["assigned_bit"], sifted["alice_bit"])
 
-    def test_records_reproduce_batch_tallies(self):
-        n = 30_000
-        seed = 7
-        batch = run_trials(COH_MODEL, None, n, seed=seed)
-        records = trial_records(COH_MODEL, None, n, seed=seed)
-        sifted = [r for r in records if r.alice_basis == r.bob_basis]
-        assert len(sifted) == batch.n_pulses
-        singles = [r for r in sifted if r.outcome.kind == ClickKind.SINGLE]
-        doubles = [r for r in sifted if r.outcome.kind == ClickKind.DOUBLE]
-        nones = [r for r in sifted if r.outcome.kind == ClickKind.NO_CLICK]
-        assert len(singles) == batch.n_single
-        assert len(doubles) == batch.n_double
-        assert len(nones) == batch.n_none
-        assert sum(r.assigned_bit != r.alice_bit for r in singles) == batch.n_single_errors
-        assert sum(r.assigned_bit != r.alice_bit for r in doubles) == batch.n_double_errors
-        assert sum(r.assigned_bit != r.alice_bit for r in nones) == batch.n_none_errors
+    @settings(max_examples=6, deadline=None)
+    @given(
+        scenario=st.sampled_from(SCENARIOS),
+        n_pulses=st.integers(SHARD_SIZE - 1, 2 * SHARD_SIZE + 17),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_records_reproduce_batch_tallies(self, scenario, n_pulses, seed):
+        model, adversary = scenario
+        batch = run_trials(model, adversary, n_pulses, seed=seed)
+        records = trial_records(model, adversary, n_pulses, seed=seed)
+        assert len(records) == batch.n_generated == n_pulses
+        sifted = records[records["alice_basis"] == records["bob_basis"]]
+        errors = sifted["assigned_bit"] != sifted["alice_bit"]
+        tallies = {
+            "n_pulses": len(sifted),
+            "n_single": np.count_nonzero(sifted["kind"] == ClickKind.SINGLE),
+            "n_double": np.count_nonzero(sifted["kind"] == ClickKind.DOUBLE),
+            "n_none": np.count_nonzero(sifted["kind"] == ClickKind.NO_CLICK),
+            "n_single_errors": np.count_nonzero(errors & (sifted["kind"] == ClickKind.SINGLE)),
+            "n_double_errors": np.count_nonzero(errors & (sifted["kind"] == ClickKind.DOUBLE)),
+            "n_none_errors": np.count_nonzero(errors & (sifted["kind"] == ClickKind.NO_CLICK)),
+        }
+        assert tallies == {key: getattr(batch, key) for key in tallies}
 
     def test_sifting_neutrality_for_single_photon_and_memory(self):
         for model in (SP_MODEL, MEM_MODEL):
             records = trial_records(model, None, 200_000, seed=47)
-            matched = [r for r in records if r.alice_basis == r.bob_basis]
-            mismatched = [r for r in records if r.alice_basis != r.bob_basis]
-            for kind in ClickKind:
-                p1 = sum(r.outcome.kind == kind for r in matched) / len(matched)
-                p2 = sum(r.outcome.kind == kind for r in mismatched) / len(mismatched)
-                pooled = (p1 + p2) / 2.0
-                se = math.sqrt(
-                    max(pooled * (1.0 - pooled), 1e-12)
-                    * (1.0 / len(matched) + 1.0 / len(mismatched))
-                )
-                assert abs(p1 - p2) <= 4.0 * se
+            is_matched = records["alice_basis"] == records["bob_basis"]
+            matched, mismatched = records[is_matched], records[~is_matched]
+            p1, p2 = _kind_fractions(matched), _kind_fractions(mismatched)
+            se = _two_sample_se(p1, len(matched), p2, len(mismatched))
+            assert np.all(np.abs(p1 - p2) <= 4.0 * se)
 
     def test_sifting_neutrality_of_coherent_no_click_rate(self):
         # Only the no-click flag is basis-independent for a multi-photon
         # source; the single/double split is not.
         records = trial_records(COH_MODEL, None, 200_000, seed=53)
-        matched = [r for r in records if r.alice_basis == r.bob_basis]
-        mismatched = [r for r in records if r.alice_basis != r.bob_basis]
-        p1 = sum(r.outcome.kind == ClickKind.NO_CLICK for r in matched) / len(matched)
-        p2 = sum(r.outcome.kind == ClickKind.NO_CLICK for r in mismatched) / len(mismatched)
-        pooled = (p1 + p2) / 2.0
-        se = math.sqrt(
-            pooled * (1.0 - pooled) * (1.0 / len(matched) + 1.0 / len(mismatched))
-        )
-        assert abs(p1 - p2) <= 4.0 * se
+        is_matched = records["alice_basis"] == records["bob_basis"]
+        matched, mismatched = records[is_matched], records[~is_matched]
+        p1 = _kind_fractions(matched)[ClickKind.NO_CLICK]
+        p2 = _kind_fractions(mismatched)[ClickKind.NO_CLICK]
+        assert abs(p1 - p2) <= 4.0 * _two_sample_se(p1, len(matched), p2, len(mismatched))
 
 
 class TestInputValidation:
@@ -443,3 +416,20 @@ class TestInputValidation:
     def test_unknown_adversary(self):
         with pytest.raises(TypeError):
             run_trials(SP_MODEL, "time-shift", 100, seed=0)
+
+    @pytest.mark.parametrize(
+        "model, n_pulses, dark_count, error",
+        [
+            (SP_MODEL, 0, 0.0, ValueError),
+            (SP_MODEL, -5, 0.0, ValueError),
+            (SP_MODEL, 100, 1.5, ValueError),
+            (SP_MODEL, 100, -0.1, ValueError),
+            ("single-photon", 100, 0.0, TypeError),
+        ],
+    )
+    def test_trial_records_shares_the_input_check(self, model, n_pulses, dark_count, error):
+        with pytest.raises(error) as batch_error:
+            run_trials(model, None, n_pulses, seed=0, dark_count=dark_count)
+        with pytest.raises(error) as records_error:
+            trial_records(model, None, n_pulses, seed=0, dark_count=dark_count)
+        assert str(records_error.value) == str(batch_error.value)
