@@ -7,10 +7,12 @@ threshold   write the tolerable-(eta, e_d) boundary curve as CSV/JSON
 simulate    run a seeded Monte Carlo batch and print its summary
 compare     check an honest Monte Carlo batch against the closed form
 
-All parameters can also come from a JSON config file (``--config``) whose
-keys mirror the flag names with underscores and whose values must have the
-flag's type; explicit flags win. Outputs are deterministic for identical
-invocations and written atomically when ``--out`` is given.
+Each option is declared once, with its real default, on its subcommand's
+parser. A JSON config file (``--config``) may set any of them: keys are the
+flag names with underscores, and each value must have the flag's type and be
+one of its choices. Explicit flags win over the config. ``compare`` always
+runs an honest channel. Outputs are deterministic for identical invocations
+and written atomically when ``--out`` is given.
 
 Exit status: 0 success, 2 invalid configuration, 3 empty threshold curve,
 4 degenerate simulation (no single clicks).
@@ -25,6 +27,7 @@ import os
 import sys
 import tempfile
 
+from .numerics import DEFAULT_BISECT_TOL
 from .rates import CoherentDecoy, CoherentDecoyMemory, SinglePhoton, SourceModel, key_rate
 from .simulate import (
     DEFAULT_STRONG_PULSE_PHOTONS,
@@ -109,105 +112,94 @@ def _render(payload: dict, fmt: str) -> str:
     return _render_csv_row(payload) if fmt == "csv" else _render_json(payload)
 
 
-def _check_config_type(key: str, value, flag_type) -> None:
-    """Reject a config value that its flag's type would not produce."""
-    accepted = {float: (int, float), int: (int,)}.get(flag_type, (str,))
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigError(
-            f"config key {key!r} must be of type {flag_type.__name__}, got {value!r}"
-        )
+def _apply_config(subparser: argparse.ArgumentParser, path: str) -> None:
+    """Make the JSON object in ``path`` the defaults of ``subparser``'s flags.
+
+    Each key must be the dest of one of the subcommand's flags, and each
+    value must have that flag's type and be one of its choices.
+    """
+    with open(path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ConfigError("config file must contain a JSON object")
+    actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(config) - set(actions))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in config.items():
+        action = actions[key]
+        flag_type = action.type or str
+        accepted = {float: (int, float), int: (int,)}.get(flag_type, (str,))
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(
+                f"config key {key!r} must be of type {flag_type.__name__}, got {value!r}"
+            )
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"config key {key!r} must be one of {action.choices}, got {value!r}")
+    subparser.set_defaults(**config)
 
 
-def _merged_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Resolve each option as: explicit flag > config-file value > default."""
-    config = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise ConfigError("config file must contain a JSON object")
-        unknown = sorted(set(config) - set(defaults))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        for key, value in config.items():
-            _check_config_type(key, value, args.flag_types[key])
-    resolved = {}
-    for key, default in defaults.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = config.get(key, default)
-        resolved[key] = value
-    return resolved
-
-
-def _require(cfg: dict, key: str) -> None:
-    if cfg.get(key) is None:
+def _require(args: argparse.Namespace, key: str) -> None:
+    if getattr(args, key) is None:
         flag = "--" + key.replace("_", "-")
-        raise ConfigError(f"{flag} is required for model {cfg.get('model')!r}")
+        raise ConfigError(f"{flag} is required for model {args.model!r}")
 
 
-def _build_model(cfg: dict) -> SourceModel:
-    model = cfg.get("model")
-    if model is None:
+def _build_model(args: argparse.Namespace) -> SourceModel:
+    if args.model is None:
         raise ConfigError("--model is required")
-    if model == "single-photon":
-        _require(cfg, "eta")
-        return SinglePhoton(eta=cfg["eta"], e_d=cfg["ed"])
-    if model == "coherent":
-        _require(cfg, "eta")
-        return CoherentDecoy(mu=cfg["mu"], eta=cfg["eta"], e_d=cfg["ed"])
-    if model == "coherent-memory":
-        _require(cfg, "eta_m")
-        return CoherentDecoyMemory(
-            mu=cfg["mu"], eta_c=cfg["eta_c"], eta_m=cfg["eta_m"], e_d=cfg["ed"]
-        )
-    raise ConfigError(f"unknown model {model!r}; expected one of {SOURCE_MODELS}")
+    if args.model == "single-photon":
+        _require(args, "eta")
+        return SinglePhoton(eta=args.eta, e_d=args.ed)
+    if args.model == "coherent":
+        _require(args, "eta")
+        return CoherentDecoy(mu=args.mu, eta=args.eta, e_d=args.ed)
+    _require(args, "eta_m")
+    return CoherentDecoyMemory(mu=args.mu, eta_c=args.eta_c, eta_m=args.eta_m, e_d=args.ed)
 
 
-def _build_adversary(cfg: dict):
-    adversary = cfg["adversary"]
-    if adversary == "none":
-        return None
-    if adversary == "time-shift":
+def _build_adversary(args: argparse.Namespace):
+    if args.adversary == "time-shift":
         return ExtremeTimeShift()
-    if adversary == "strong-pulse":
-        return StrongPulse(n_photons=cfg["n_photons"])
-    raise ConfigError(f"unknown adversary {adversary!r}; expected one of {ADVERSARIES}")
+    if args.adversary == "strong-pulse":
+        return StrongPulse(n_photons=args.n_photons)
+    return None
 
 
-def _add_model_flags(parser: argparse.ArgumentParser, models=SOURCE_MODELS) -> None:
-    parser.add_argument("--model", choices=models, default=None)
-    parser.add_argument("--eta", type=float, default=None, help="overall transmittance")
-    parser.add_argument("--ed", type=float, default=None, help="intrinsic detection error")
-    parser.add_argument("--mu", type=float, default=None, help="coherent intensity")
-    parser.add_argument("--eta-c", type=float, default=None, dest="eta_c",
-                        help="channel transmittance to the memory")
-    parser.add_argument("--eta-m", type=float, default=None, dest="eta_m",
-                        help="memory readout probability")
+def _add_coherent_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--mu", type=float, default=DEFAULT_MU,
+                        help="coherent intensity (default: %(default)s)")
+    parser.add_argument("--eta-c", type=float, default=DEFAULT_ETA_C,
+                        help="channel transmittance to the memory (default: %(default)s)")
+
+
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--model", choices=SOURCE_MODELS)
+    parser.add_argument("--eta", type=float, help="overall transmittance")
+    parser.add_argument("--ed", type=float, default=0.0,
+                        help="intrinsic detection error (default: %(default)s)")
+    _add_coherent_flags(parser)
+    parser.add_argument("--eta-m", type=float, help="memory readout probability")
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n-pulses", type=int, default=DEFAULT_N_PULSES,
+                        help="pulses to generate (default: %(default)s)")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help="RNG seed (default: %(default)s)")
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, default_format: str) -> None:
-    parser.add_argument("--config", default=None, help="JSON config file; flags win")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
-                        help=f"output format (default: {default_format})")
-
-
-_MODEL_DEFAULTS = {
-    "model": None,
-    "eta": None,
-    "ed": 0.0,
-    "mu": DEFAULT_MU,
-    "eta_c": DEFAULT_ETA_C,
-    "eta_m": None,
-}
+    parser.add_argument("--config", help="JSON config file; flags win")
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default=default_format,
+                        help="output format (default: %(default)s)")
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args, {**_MODEL_DEFAULTS, "out": None, "format": "json"})
-    breakdown = key_rate(_build_model(cfg))
+    breakdown = key_rate(_build_model(args))
     payload = {
-        "model": cfg["model"],
+        "model": args.model,
         "rate": breakdown.rate,
         "operational_rate": breakdown.operational_rate,
         "delta": breakdown.delta,
@@ -218,29 +210,16 @@ def cmd_rate(args: argparse.Namespace) -> int:
         "y_1": breakdown.y_1,
         "delta_1": breakdown.delta_1,
     }
-    _emit(_render(payload, cfg["format"]), cfg["out"])
+    _emit(_render(payload, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    defaults = {
-        "model": None,
-        "mu": DEFAULT_MU,
-        "eta_c": DEFAULT_ETA_C,
-        "eta_min": 0.5,
-        "eta_max": 1.0,
-        "step": 0.005,
-        "tol": 1e-9,
-        "out": None,
-        "format": "csv",
-    }
-    cfg = _merged_config(args, defaults)
-    if cfg["model"] is None:
+    if args.model is None:
         raise ConfigError("--model is required")
-    grid = GridSpec(eta_min=cfg["eta_min"], eta_max=cfg["eta_max"], step=cfg["step"])
-    curve = sweep_curve(cfg["model"], grid=grid, tol=cfg["tol"], mu=cfg["mu"],
-                        eta_c=cfg["eta_c"])
-    if cfg["format"] == "json":
+    grid = GridSpec(eta_min=args.eta_min, eta_max=args.eta_max, step=args.step)
+    curve = sweep_curve(args.model, grid=grid, tol=args.tol, mu=args.mu, eta_c=args.eta_c)
+    if args.format == "json":
         payload = {
             "model": curve.model_tag,
             "grid": {"eta_min": grid.eta_min, "eta_max": grid.eta_max, "step": grid.step},
@@ -249,62 +228,33 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = curve_to_csv(curve)
-    _emit(text, cfg["out"])
+    _emit(text, args.out)
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    defaults = {
-        **_MODEL_DEFAULTS,
-        "adversary": "none",
-        "n_photons": DEFAULT_STRONG_PULSE_PHOTONS,
-        "n_pulses": DEFAULT_N_PULSES,
-        "seed": DEFAULT_SEED,
-        "out": None,
-        "format": "json",
-    }
-    cfg = _merged_config(args, defaults)
     batch = run_trials(
-        _build_model(cfg),
-        adversary=_build_adversary(cfg),
-        n_pulses=cfg["n_pulses"],
-        seed=cfg["seed"],
+        _build_model(args),
+        adversary=_build_adversary(args),
+        n_pulses=args.n_pulses,
+        seed=args.seed,
     )
-    _emit(_render(batch.summary(), cfg["format"]), cfg["out"])
+    _emit(_render(batch.summary(), args.format), args.out)
     return EXIT_DEGENERATE if batch.is_degenerate else EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    defaults = {
-        **_MODEL_DEFAULTS,
-        "adversary": "none",
-        "n_pulses": DEFAULT_N_PULSES,
-        "seed": DEFAULT_SEED,
-        "out": None,
-        "format": "json",
-    }
-    cfg = _merged_config(args, defaults)
-    if cfg["adversary"] != "none":
-        raise ConfigError(
-            "compare needs an honest channel; there is no analytic prediction "
-            f"for adversary {cfg['adversary']!r}"
-        )
-    model = _build_model(cfg)
-    batch = run_trials(model, adversary=None, n_pulses=cfg["n_pulses"], seed=cfg["seed"])
+    model = _build_model(args)
+    batch = run_trials(model, adversary=None, n_pulses=args.n_pulses, seed=args.seed)
     report = compare_to_analytic(model, batch)
     payload = {
-        "model": cfg["model"],
+        "model": args.model,
         "n_pulses": batch.n_pulses,
         "seed": batch.seed,
         **report.to_dict(),
     }
-    _emit(_render(payload, cfg["format"]), cfg["out"])
+    _emit(_render(payload, args.format), args.out)
     return EXIT_OK
-
-
-def _flag_types(parser: argparse.ArgumentParser) -> dict:
-    """Value type of each of ``parser``'s flags, keyed by config-file name."""
-    return {action.dest: action.type or str for action in parser._actions}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,42 +271,45 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.set_defaults(handler=cmd_rate)
 
     p_thr = sub.add_parser("threshold", help="tolerable (eta, e_d) boundary curve")
-    p_thr.add_argument("--model", choices=MODEL_FAMILIES, default=None)
-    p_thr.add_argument("--mu", type=float, default=None)
-    p_thr.add_argument("--eta-c", type=float, default=None, dest="eta_c")
-    p_thr.add_argument("--eta-min", type=float, default=None, dest="eta_min")
-    p_thr.add_argument("--eta-max", type=float, default=None, dest="eta_max")
-    p_thr.add_argument("--step", type=float, default=None)
-    p_thr.add_argument("--tol", type=float, default=None)
+    p_thr.add_argument("--model", choices=MODEL_FAMILIES)
+    _add_coherent_flags(p_thr)
+    p_thr.add_argument("--eta-min", type=float, default=GridSpec.eta_min,
+                       help="first grid point (default: %(default)s)")
+    p_thr.add_argument("--eta-max", type=float, default=GridSpec.eta_max,
+                       help="last grid point (default: %(default)s)")
+    p_thr.add_argument("--step", type=float, default=GridSpec.step,
+                       help="grid spacing (default: %(default)s)")
+    p_thr.add_argument("--tol", type=float, default=DEFAULT_BISECT_TOL,
+                       help="bisection bracket width (default: %(default)s)")
     _add_common_flags(p_thr, "csv")
     p_thr.set_defaults(handler=cmd_threshold)
 
     p_sim = sub.add_parser("simulate", help="seeded Monte Carlo batch summary")
     _add_model_flags(p_sim)
-    p_sim.add_argument("--adversary", choices=ADVERSARIES, default=None)
-    p_sim.add_argument("--n-photons", type=int, default=None, dest="n_photons",
-                       help="strong-pulse photon count")
-    p_sim.add_argument("--n-pulses", type=int, default=None, dest="n_pulses")
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--adversary", choices=ADVERSARIES, default="none",
+                       help="attack on the channel (default: %(default)s)")
+    p_sim.add_argument("--n-photons", type=int, default=DEFAULT_STRONG_PULSE_PHOTONS,
+                       help="strong-pulse photon count (default: %(default)s)")
+    _add_run_flags(p_sim)
     _add_common_flags(p_sim, "json")
     p_sim.set_defaults(handler=cmd_simulate)
 
-    p_cmp = sub.add_parser("compare", help="Monte Carlo vs closed-form agreement")
+    p_cmp = sub.add_parser("compare", help="honest Monte Carlo vs closed-form agreement")
     _add_model_flags(p_cmp)
-    p_cmp.add_argument("--adversary", choices=ADVERSARIES, default=None)
-    p_cmp.add_argument("--n-pulses", type=int, default=None, dest="n_pulses")
-    p_cmp.add_argument("--seed", type=int, default=None)
+    _add_run_flags(p_cmp)
     _add_common_flags(p_cmp, "json")
     p_cmp.set_defaults(handler=cmd_compare)
-
-    for subparser in sub.choices.values():
-        subparser.set_defaults(flag_types=_flag_types(subparser))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.config:
+            # Config values become defaults, so explicit flags still win.
+            _apply_config(parser._subparsers._group_actions[0].choices[args.command], args.config)
+            args = parser.parse_args(argv)
         return args.handler(args)
     except EmptyCurveError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,8 +43,9 @@ def find_root_bisect(
 
     ``f(lo)`` and ``f(hi)`` must have opposite signs (or one of them must be
     exactly zero). Returns a point whose enclosing bracket has width at most
-    ``tol``, so the result is within ``tol`` of a true root. Deterministic:
-    the same inputs always produce the same output.
+    ``tol``, or is as narrow as floats allow when ``tol`` is below that, so
+    the result is within ``tol`` of a true root (or one ulp of it).
+    Deterministic: the same inputs always produce the same output.
 
     Raises
     ------
@@ -53,7 +54,7 @@ def find_root_bisect(
     RuntimeError
         If the bracket has not shrunk below ``tol`` after 200 iterations.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not lo < hi:
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
@@ -71,7 +72,7 @@ def find_root_bisect(
 
     for _ in range(MAX_BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
+        if hi - lo <= tol or not lo < mid < hi:
             return mid
         f_mid = f(mid)
         if f_mid == 0.0:

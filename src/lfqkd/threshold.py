@@ -18,7 +18,6 @@ configurations.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from .numerics import DEFAULT_BISECT_TOL, find_root_bisect
@@ -119,8 +118,9 @@ def solve_threshold_ed(
 
     Bisects the rate's sign change over e_d in [0, 1/2]. Returns None when
     the rate is already nonpositive at e_d = 0 (at or below the transmittance
-    floor, where no positive-error operating point exists). The returned
-    value brackets the zero crossing to within ``tol``.
+    floor, where no positive-error operating point exists). At e_d = 1/2 the
+    rate of every family is -Q_s <= 0, so the bracket holds the sign change;
+    the returned value brackets the zero crossing to within ``tol``.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
@@ -131,16 +131,6 @@ def solve_threshold_ed(
     rate_floor = rate_of_ed(0.0)
     if rate_floor <= 0.0:
         return None
-    rate_cap = rate_of_ed(E_D_MAX)
-    if rate_cap > 0.0:
-        # Not expected for any in-scope family: the rate at e_d = 1/2 is
-        # always nonpositive. Everything in the bracket is then tolerable.
-        warnings.warn(
-            f"rate is positive across the whole e_d bracket for {family} at "
-            f"eta={eta}; returning the bracket cap",
-            stacklevel=2,
-        )
-        return E_D_MAX
     return find_root_bisect(rate_of_ed, 0.0, E_D_MAX, tol=tol)
 
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -15,6 +16,15 @@ from lfqkd.rates import CoherentDecoyMemory, SinglePhoton, key_rate
 from lfqkd.simulate import run_trials
 
 P1_MEMORY = 0.6080482499669296
+
+# sha256 of the default-grid threshold CSVs, as pinned by the benchmark's
+# threshold-curves workload.
+THRESHOLD_SHA256 = {
+    "single-photon": "b052aeaba646b006c076c61def7305bcb7528a6759ec1148368167246c1a8a8b",
+    "coherent": "153371aa32270fab654c950174034c94115f514373965ee06ff441fc48fcb95f",
+    "coherent-memory": "f00ba3f9f0f8610e54e9894ce7bb00be34878c6d94ba91e2c0b18d96a5bce1a4",
+    "single-photon-memory": "e1b0c888f3971642858de6685472ec68f41f2d45f92149fc71d3e3e793992944",
+}
 
 
 def run_cli(*argv):
@@ -113,6 +123,26 @@ class TestThresholdCommand:
             "--eta-max", "0.5",
         ) == EXIT_INVALID_CONFIG
         capsys.readouterr()
+
+    @pytest.mark.parametrize("family", sorted(THRESHOLD_SHA256))
+    def test_default_curve_bytes_pinned(self, capsys, family):
+        assert run_cli("threshold", "--model", family) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == THRESHOLD_SHA256[family]
+
+    def test_tol_below_float_spacing_converges(self, capsys):
+        grid = ("--model", "coherent", "--eta-min", "0.6", "--step", "0.1", "--format", "json")
+        assert run_cli("threshold", *grid) == EXIT_OK
+        default = json.loads(capsys.readouterr().out)["points"]
+        assert run_cli("threshold", *grid, "--tol", "1e-300") == EXIT_OK
+        tight = json.loads(capsys.readouterr().out)["points"]
+        assert [p["eta"] for p in tight] == [p["eta"] for p in default]
+        for p, q in zip(tight, default):
+            assert abs(p["e_d_max"] - q["e_d_max"]) <= 1e-9
+
+    def test_nan_tol_exits_2(self, capsys):
+        assert run_cli("threshold", "--model", "single-photon", "--tol", "nan") == EXIT_INVALID_CONFIG
+        assert "tol" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -240,12 +270,21 @@ class TestCompareCommand:
         assert payload["n_pulses"] == 0
         assert payload["passed"] is False
 
-    def test_rejects_adversarial_scenario(self, capsys):
-        assert run_cli(
-            "compare", "--model", "single-photon", "--eta", "1",
-            "--adversary", "time-shift",
-        ) == EXIT_INVALID_CONFIG
-        assert "honest" in capsys.readouterr().err
+    def test_rejects_adversarial_scenario(self, tmp_path, capsys):
+        # compare always runs honest: it has no --adversary flag or config key.
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "compare", "--model", "single-photon", "--eta", "1",
+                "--adversary", "time-shift",
+            )
+        assert exc.value.code == EXIT_INVALID_CONFIG
+        capsys.readouterr()
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(
+            {"model": "single-photon", "eta": 1.0, "adversary": "time-shift"}
+        ))
+        assert run_cli("compare", "--config", str(config)) == EXIT_INVALID_CONFIG
+        assert "unknown config keys: adversary" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -274,13 +313,36 @@ class TestConfigFile:
             ("rate", "ed", True),
             ("simulate", "n_pulses", 1000.0),
             ("simulate", "adversary", 1),
+            ("rate", "format", "xml"),
+            ("threshold", "model", "foo"),
+            ("simulate", "adversary", "evil"),
         ],
     )
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, command, key, value):
+        values = {"model": "single-photon", key: value}
+        if command != "threshold":
+            values = {"eta": 1.0, **values}
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"model": "single-photon", "eta": 1.0, key: value}))
+        config.write_text(json.dumps(values))
         assert run_cli(command, "--config", str(config)) == EXIT_INVALID_CONFIG
         assert repr(key) in capsys.readouterr().err
+
+    def test_threshold_config_matches_flags(self, tmp_path, capsys):
+        grid = ["--model", "coherent", "--eta-min", "0.8", "--step", "0.05"]
+        assert run_cli("threshold", *grid, "--mu", "0.3") == EXIT_OK
+        mu_low = capsys.readouterr().out
+        assert run_cli("threshold", *grid, "--mu", "0.5") == EXIT_OK
+        mu_default = capsys.readouterr().out
+        assert mu_low != mu_default
+
+        config = tmp_path / "curve.json"
+        config.write_text(json.dumps(
+            {"model": "coherent", "mu": 0.3, "eta_min": 0.8, "step": 0.05}
+        ))
+        assert run_cli("threshold", "--config", str(config)) == EXIT_OK
+        assert capsys.readouterr().out == mu_low
+        assert run_cli("threshold", "--config", str(config), "--mu", "0.5") == EXIT_OK
+        assert capsys.readouterr().out == mu_default
 
     def test_missing_config_file(self, capsys):
         assert run_cli("rate", "--model", "single-photon", "--eta", "1",

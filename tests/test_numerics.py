@@ -91,6 +91,14 @@ class TestFindRootBisect:
         with pytest.raises(ValueError):
             find_root_bisect(lambda x: x, -1.0, 1.0, tol=0.0)
 
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ValueError, match="tol"):
+            find_root_bisect(lambda x: x, -1.0, 1.0, tol=math.nan)
+
+    def test_tol_below_float_spacing_stops_at_adjacent_floats(self):
+        root = find_root_bisect(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-300)
+        assert abs(root - SQRT2) <= math.ulp(SQRT2)
+
     def test_invalid_bracket(self):
         with pytest.raises(ValueError):
             find_root_bisect(lambda x: x, 1.0, -1.0)

@@ -1,6 +1,7 @@
 """Tests for the tolerance-boundary solver and curve sweep."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lfqkd.threshold import (
     CSV_HEADER,
@@ -69,6 +70,33 @@ class TestSolveThreshold:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="family"):
             solve_threshold_ed("entangled", 1.0)
+
+
+# Lower bounds keep eta_c * mu clear of float underflow, where the memory
+# model's trigger probability -expm1(-eta_c * mu) rounds to zero.
+FAMILY = st.sampled_from(MODEL_FAMILIES)
+ETA = st.floats(0.0, 1.0, exclude_min=True)
+MU = st.floats(1e-9, 20.0)
+ETA_C = st.floats(1e-9, 1.0)
+E_D = st.floats(0.0, 0.5)
+
+
+class TestRateProperties:
+    """Invariants that solve_threshold_ed relies on, over the whole domain."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=FAMILY, eta=ETA, mu=MU, eta_c=ETA_C)
+    def test_rate_nonpositive_at_half(self, family, eta, mu, eta_c):
+        # The bisection bracket [0, 1/2] holds the sign change only if so.
+        assert rate_at(family, eta, 0.5, mu=mu, eta_c=eta_c) <= 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=FAMILY, eta=ETA, mu=MU, eta_c=ETA_C, e_a=E_D, e_b=E_D)
+    def test_rate_nonincreasing_in_ed(self, family, eta, mu, eta_c, e_a, e_b):
+        lo, hi = sorted((e_a, e_b))
+        rate_lo = rate_at(family, eta, lo, mu=mu, eta_c=eta_c)
+        rate_hi = rate_at(family, eta, hi, mu=mu, eta_c=eta_c)
+        assert rate_hi <= rate_lo + 1e-12
 
 
 class TestSweepCurve:
