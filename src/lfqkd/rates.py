@@ -28,16 +28,19 @@ conditioned on a quantum-memory trigger. Entropy arguments of the form
 delta/Q_s or delta_1/Y1 are clamped at 1/2 before H2 (beyond that point the
 privacy-amplification cost is already total; letting H2 turn over would
 inflate the rate). Rates are returned unfloored so threshold solvers can
-bracket sign changes.
+bracket sign changes. ``rate_kernel`` restates both formulas on arrays, as a
+function of e_d, for solving a whole grid of points at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import Callable, ClassVar, Union
 
-from .numerics import binary_entropy
+import numpy as np
+
+from .numerics import binary_entropy, binary_entropy_array
 
 #: Error rate e_0 of a uniformly assigned bit, fixed by construction.
 RANDOM_ASSIGNMENT_ERROR_RATE = 0.5
@@ -47,7 +50,7 @@ class DegenerateInputError(ValueError):
     """Raised when an input makes a formula vacuous (division by zero)."""
 
 
-def _check_probability(name: str, value: float) -> None:
+def check_probability(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
 
@@ -81,7 +84,7 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         for name in ("eta", "e_d", "eta_c", "eta_m"):
-            _check_probability(name, getattr(self, name))
+            check_probability(name, getattr(self, name))
         if self.mu < 0.0:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
 
@@ -156,8 +159,8 @@ class DetectionStats:
     e_s: float
 
     def __post_init__(self) -> None:
-        _check_probability("q_s", self.q_s)
-        _check_probability("e_s", self.e_s)
+        check_probability("q_s", self.q_s)
+        check_probability("e_s", self.e_s)
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,7 @@ def rate_basis_independent_baseline(delta: float) -> float:
     privacy-amplification costs coincide. The entropy argument is clamped at
     1/2, so the result floors at -1.
     """
-    _check_probability("delta", delta)
+    check_probability("delta", delta)
     return 1.0 - 2.0 * binary_entropy(min(delta, 0.5))
 
 
@@ -221,8 +224,8 @@ def phase_error_single_bound(delta: float, q_s: float) -> float:
     clamped. Raises DegenerateInputError at Q_s = 0, where the bound is
     vacuous and the caller must treat the rate as nonpositive.
     """
-    _check_probability("delta", delta)
-    _check_probability("q_s", q_s)
+    check_probability("delta", delta)
+    check_probability("q_s", q_s)
     if q_s == 0.0:
         raise DegenerateInputError("phase-error bound is vacuous at q_s = 0")
     return min(delta / q_s, 0.5)
@@ -256,6 +259,30 @@ def single_photon_stats(params: SystemParams) -> DetectionStats:
     return DetectionStats(q_s=params.eta, e_s=params.e_d)
 
 
+def single_photon_probability(mu: float) -> float:
+    """P1 = mu * exp(-mu): the chance that a coherent pulse holds one photon."""
+    if mu <= 0.0:
+        raise ValueError(f"mu must be positive for a coherent source, got {mu}")
+    return mu * math.exp(-mu)
+
+
+def heralded_single_photon_probability(mu: float, eta_c: float) -> float:
+    """P1 = eta_c*mu*exp(-mu) / (1 - exp(-eta_c*mu)), given the memory trigger.
+
+    Once ``eta_c * mu`` underflows, the trigger probability rounds to 0 and
+    the limit exp(-mu) is returned instead of a 0/0. Raises
+    DegenerateInputError at eta_c = 0, where the trigger never fires.
+    """
+    if mu <= 0.0:
+        raise ValueError(f"mu must be positive for a coherent source, got {mu}")
+    if eta_c == 0.0:
+        raise DegenerateInputError("eta_c = 0: the memory never triggers")
+    trigger = -math.expm1(-eta_c * mu)
+    if trigger == 0.0:
+        return math.exp(-mu)
+    return eta_c * mu * math.exp(-mu) / trigger
+
+
 def coherent_stats(
     params: SystemParams,
 ) -> tuple[DetectionStats, float, float, float]:
@@ -269,10 +296,8 @@ def coherent_stats(
         Y1  = eta                    single-photon single-click yield,
         delta_1 = e_d*Y1 + e_0*(1 - Y1).
     """
-    if params.mu <= 0.0:
-        raise ValueError(f"mu must be positive for a coherent source, got {params.mu}")
+    p_1 = single_photon_probability(params.mu)
     q_s = -math.expm1(-params.eta * params.mu)
-    p_1 = params.mu * math.exp(-params.mu)
     y_1 = params.eta
     delta_1 = params.e_d * y_1 + RANDOM_ASSIGNMENT_ERROR_RATE * (1.0 - y_1)
     return DetectionStats(q_s=q_s, e_s=params.e_d), p_1, y_1, delta_1
@@ -293,16 +318,7 @@ def coherent_memory_stats(
     Raises DegenerateInputError at eta_c = 0 (the trigger never fires and P1
     is a 0/0 form).
     """
-    if params.mu <= 0.0:
-        raise ValueError(f"mu must be positive for a coherent source, got {params.mu}")
-    if params.eta_c == 0.0:
-        raise DegenerateInputError("eta_c = 0: the memory never triggers")
-    p_1 = (
-        params.eta_c
-        * params.mu
-        * math.exp(-params.mu)
-        / -math.expm1(-params.eta_c * params.mu)
-    )
+    p_1 = heralded_single_photon_probability(params.mu, params.eta_c)
     q_s = params.eta_m
     y_1 = params.eta_m
     delta_1 = params.e_d * y_1 + RANDOM_ASSIGNMENT_ERROR_RATE * (1.0 - y_1)
@@ -318,9 +334,9 @@ def key_rate_coherent(
     only the single-photon fraction ``P1*Y1`` generates key. At Y1 = 0 the
     generating term vanishes and the rate degenerates to ``-ec_cost``.
     """
-    _check_probability("p_1", p_1)
-    _check_probability("y_1", y_1)
-    _check_probability("delta_1", delta_1)
+    check_probability("p_1", p_1)
+    check_probability("y_1", y_1)
+    check_probability("delta_1", delta_1)
     delta = qber(stats)
     ec_cost = stats.q_s * binary_entropy(stats.e_s)
     if y_1 == 0.0:
@@ -346,6 +362,37 @@ def key_rate_coherent(
         y_1=y_1,
         delta_1=delta_1,
     )
+
+
+def rate_kernel(
+    q_s: np.ndarray, p_1: float, y_1: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Array form of the coherent and single-click rates, as a function of e_d.
+
+    Takes the e_d-independent channel terms over a set of points, with every
+    ``y_1 > 0`` and E_s = e_d, and returns ``rate(e_d)``, which maps an array
+    of e_d in [0, 1/2], one per point, to the raw key rates
+    ``-Q_s*H2(e_d) + P1*Y1*(1 - H2(min(delta_1/Y1, 1/2)))``. The single-click
+    formula is the case ``p_1 = 1``, ``y_1 = q_s``. The inputs are not
+    checked. Each value is computed by the operations of
+    ``key_rate_coherent`` and ``key_rate_single_click``, in the same order,
+    so it differs from theirs at most where numpy's log2 differs from
+    ``math.log2`` in the last ulp.
+    """
+    signal = p_1 * y_1
+    random_errors = RANDOM_ASSIGNMENT_ERROR_RATE * (1.0 - y_1)
+
+    def rate(e_d: np.ndarray) -> np.ndarray:
+        delta_1 = e_d * y_1 + random_errors
+        ec_cost = q_s * binary_entropy_array(e_d)
+        # For a subnormal y_1 the quotient overflows to inf, as a float
+        # division does, and the clamp takes it to 1/2.
+        with np.errstate(over="ignore"):
+            bound = np.minimum(delta_1 / y_1, 0.5)
+        pa_cost = signal * binary_entropy_array(bound)
+        return signal - ec_cost - pa_cost
+
+    return rate
 
 
 def key_rate(model: SourceModel) -> KeyRateBreakdown:

@@ -18,10 +18,22 @@ configurations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .numerics import DEFAULT_BISECT_TOL, find_root_bisect
-from .rates import CoherentDecoy, CoherentDecoyMemory, SinglePhoton, key_rate
+from .rates import (
+    CoherentDecoy,
+    CoherentDecoyMemory,
+    SinglePhoton,
+    check_probability,
+    heralded_single_photon_probability,
+    key_rate,
+    rate_kernel,
+    single_photon_probability,
+)
 
 MODEL_FAMILIES = (
     "single-photon",
@@ -107,6 +119,52 @@ def rate_at(
     raise ValueError(f"unknown model family {family!r}; expected one of {MODEL_FAMILIES}")
 
 
+def _channel_terms(family: str, etas: np.ndarray, mu: float, eta_c: float):
+    """Q_s, P1 and Y1 of ``family`` over the eta grid: the e_d-independent terms.
+
+    Checks ``mu`` and ``eta_c`` where the family uses them, with the same
+    rules and messages as the source models.
+    """
+    if family == "single-photon" or family == "single-photon-memory":
+        return etas, 1.0, etas
+    if family == "coherent":
+        p_1 = single_photon_probability(mu)
+        q_s = -np.expm1(-etas * mu)
+    elif family == "coherent-memory":
+        check_probability("eta_c", eta_c)
+        p_1 = heralded_single_photon_probability(mu, eta_c)
+        q_s = etas
+    else:
+        raise ValueError(f"unknown model family {family!r}; expected one of {MODEL_FAMILIES}")
+    check_probability("p_1", p_1)
+    return q_s, p_1, etas
+
+
+def _solve_grid(
+    family: str, etas: np.ndarray, tol: float, mu: float, eta_c: float
+) -> np.ndarray:
+    """Largest e_d with a nonnegative rate at each eta, NaN where there is none.
+
+    Validates every input once, drops the points whose rate at e_d = 0 is
+    already nonpositive, and bisects the rest together over e_d in [0, 1/2].
+    """
+    outside = ~((etas > 0.0) & (etas <= 1.0))
+    if outside.any():
+        raise ValueError(f"eta must be in (0, 1], got {etas[outside][0]}")
+    q_s, p_1, y_1 = _channel_terms(family, etas, mu, eta_c)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+
+    e_d_max = np.full(etas.shape, np.nan)
+    kept = rate_kernel(q_s, p_1, y_1)(np.zeros(etas.shape)) > 0.0
+    if kept.any():
+        n = int(kept.sum())
+        e_d_max[kept] = find_root_bisect(
+            rate_kernel(q_s[kept], p_1, y_1[kept]), np.zeros(n), np.full(n, E_D_MAX), tol=tol
+        )
+    return e_d_max
+
+
 def solve_threshold_ed(
     family: str,
     eta: float,
@@ -116,22 +174,15 @@ def solve_threshold_ed(
 ) -> float | None:
     """Largest e_d with a nonnegative rate at fixed ``eta``, or None.
 
-    Bisects the rate's sign change over e_d in [0, 1/2]. Returns None when
-    the rate is already nonpositive at e_d = 0 (at or below the transmittance
-    floor, where no positive-error operating point exists). At e_d = 1/2 the
-    rate of every family is -Q_s <= 0, so the bracket holds the sign change;
-    the returned value brackets the zero crossing to within ``tol``.
+    Bisects the rate's sign change over e_d in [0, 1/2]: the sweep of a
+    one-point grid. Returns None when the rate is already nonpositive at
+    e_d = 0 (at or below the transmittance floor, where no positive-error
+    operating point exists). At e_d = 1/2 the rate of every family is
+    -Q_s <= 0, so the bracket holds the sign change; the returned value
+    brackets the zero crossing to within ``tol``.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
-
-    def rate_of_ed(e_d: float) -> float:
-        return rate_at(family, eta, e_d, mu=mu, eta_c=eta_c)
-
-    rate_floor = rate_of_ed(0.0)
-    if rate_floor <= 0.0:
-        return None
-    return find_root_bisect(rate_of_ed, 0.0, E_D_MAX, tol=tol)
+    (e_d_max,) = _solve_grid(family, np.array([eta], dtype=float), tol, mu, eta_c).tolist()
+    return None if math.isnan(e_d_max) else e_d_max
 
 
 def sweep_curve(
@@ -143,22 +194,27 @@ def sweep_curve(
 ) -> ThresholdCurve:
     """Threshold curve of ``family`` over an eta grid.
 
-    Grid points without a tolerable e_d are omitted. Points are emitted in
-    grid order (strictly increasing eta), so the result is deterministic.
-    Raises EmptyCurveError when every grid point is below the floor.
+    Every grid point is solved at once, on arrays, with the rate kernel of
+    ``lfqkd.rates``; ``rate_at`` is the scalar reference it is tested
+    against. Grid points without a tolerable e_d are omitted. Points are
+    emitted in grid order (strictly increasing eta), so the result is
+    deterministic. Raises EmptyCurveError when every grid point is below the
+    floor.
     """
     if grid is None:
         grid = GridSpec()
-    points = []
-    for eta in grid.values():
-        e_d_max = solve_threshold_ed(family, eta, tol=tol, mu=mu, eta_c=eta_c)
-        if e_d_max is not None:
-            points.append(ThresholdPoint(eta=eta, e_d_max=e_d_max, model_tag=family))
+    etas = grid.values()
+    e_d_max = _solve_grid(family, np.array(etas), tol, mu, eta_c).tolist()
+    points = tuple(
+        ThresholdPoint(eta=eta, e_d_max=e_d, model_tag=family)
+        for eta, e_d in zip(etas, e_d_max)
+        if not math.isnan(e_d)
+    )
     if not points:
         raise EmptyCurveError(
             f"no tolerable e_d for {family} on eta in [{grid.eta_min}, {grid.eta_max}]"
         )
-    return ThresholdCurve(model_tag=family, points=tuple(points), grid_spec=grid)
+    return ThresholdCurve(model_tag=family, points=points, grid_spec=grid)
 
 
 def curve_to_csv(curve: ThresholdCurve) -> str:

@@ -25,6 +25,14 @@ THRESHOLD_SHA256 = {
     "coherent-memory": "f00ba3f9f0f8610e54e9894ce7bb00be34878c6d94ba91e2c0b18d96a5bce1a4",
     "single-photon-memory": "e1b0c888f3971642858de6685472ec68f41f2d45f92149fc71d3e3e793992944",
 }
+# sha256 of the default-grid threshold JSON: pins every value and its float
+# formatting.
+THRESHOLD_JSON_SHA256 = {
+    "single-photon": "a4fbdc68031d5af0567ea8d7456e5c6ec58eec56462c9fa773ee3e5a2a2c7248",
+    "coherent": "12d69f49daaaf9c229d3cef2acb5479b332e72310062be9e4200bee70cf92120",
+    "coherent-memory": "1fa635942446b0d59a410051aacc044cc8d5ea23b831c5111e4f53aaad2e26a2",
+    "single-photon-memory": "583432f294acd075558800e8a6a69fff4b97ec35896903bdf02f01daf50453f6",
+}
 
 
 def run_cli(*argv):
@@ -78,6 +86,15 @@ class TestRateCommand:
         err = capsys.readouterr().err
         assert "eta" in err and "[0, 1]" in err
 
+    def test_memory_trigger_underflow(self, capsys):
+        assert run_cli(
+            "rate", "--model", "coherent-memory", "--mu", "1e-300", "--eta-c", "1e-300",
+            "--eta-m", "1",
+        ) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["p_1"] == 1.0
+
     def test_invalid_model_choice_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("rate", "--model", "entangled")
@@ -129,6 +146,9 @@ class TestThresholdCommand:
         assert run_cli("threshold", "--model", family) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == THRESHOLD_SHA256[family]
+        assert run_cli("threshold", "--model", family, "--format", "json") == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == THRESHOLD_JSON_SHA256[family]
 
     def test_tol_below_float_spacing_converges(self, capsys):
         grid = ("--model", "coherent", "--eta-min", "0.6", "--step", "0.1", "--format", "json")
@@ -143,6 +163,24 @@ class TestThresholdCommand:
     def test_nan_tol_exits_2(self, capsys):
         assert run_cli("threshold", "--model", "single-photon", "--tol", "nan") == EXIT_INVALID_CONFIG
         assert "tol" in capsys.readouterr().err
+
+    def test_nan_tol_exits_2_when_no_point_is_tolerable(self, capsys):
+        # The grid lies below the floor, so no bisection runs at all.
+        assert run_cli(
+            "threshold", "--model", "coherent",
+            "--eta-min", "0.3", "--eta-max", "0.5", "--step", "0.1", "--tol", "nan",
+        ) == EXIT_INVALID_CONFIG
+        assert "tol must be positive" in capsys.readouterr().err
+
+    def test_memory_trigger_underflow(self, capsys):
+        # eta_c * mu underflows to 0: P1 takes its limit exp(-mu) = 1.
+        assert run_cli(
+            "threshold", "--model", "coherent-memory", "--mu", "1e-300", "--eta-c", "1e-300",
+        ) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert run_cli("threshold", "--model", "single-photon") == EXIT_OK
+        assert out == capsys.readouterr().out.replace("single-photon", "coherent-memory")
 
 
 class TestSimulateCommand:

@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from lfqkd.numerics import (
     DEFAULT_BISECT_TOL,
     NoSignChangeError,
     binary_entropy,
+    binary_entropy_array,
     find_root_bisect,
 )
 
@@ -55,6 +57,16 @@ class TestBinaryEntropy:
         values = [binary_entropy(x) for x in xs]
         assert all(v1 <= v2 + 1e-15 for v1, v2 in zip(values, values[1:]))
 
+    def test_array_form_matches_scalar(self):
+        xs = [0.0, 5e-324, 1e-300, 0.11, 0.5, 0.89, 1.0 - 2.0**-53, 1.0]
+        xs += [i / 997 for i in range(998)]
+        values = binary_entropy_array(np.array(xs)).tolist()
+        assert values[:2] == [0.0, binary_entropy(5e-324)]
+        assert values[-998] == 0.0 and values[-1] == 0.0
+        # numpy's log2 may differ from math.log2 in the last ulp; H2 <= 1.
+        for x, value in zip(xs, values):
+            assert value == pytest.approx(binary_entropy(x), abs=2 * 2.0**-52)
+
 
 class TestFindRootBisect:
     def test_linear_root(self):
@@ -99,6 +111,15 @@ class TestFindRootBisect:
         root = find_root_bisect(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-300)
         assert abs(root - SQRT2) <= math.ulp(SQRT2)
 
+    def test_root_far_below_bracket_scale(self):
+        # About 1,000 halvings: more than any fixed cap below that allows.
+        root = find_root_bisect(lambda x: x - 1e-200, 0.0, 1.0, tol=1e-300)
+        assert abs(root - 1e-200) <= 1e-300
+
+    def test_bracket_wider_than_float_range(self):
+        # hi - lo overflows to inf: the width test must not warn or stop early.
+        assert abs(find_root_bisect(lambda x: x, -1e308, 1.7e308)) <= DEFAULT_BISECT_TOL
+
     def test_invalid_bracket(self):
         with pytest.raises(ValueError):
             find_root_bisect(lambda x: x, 1.0, -1.0)
@@ -109,3 +130,36 @@ class TestFindRootBisect:
 
     def test_default_tol(self):
         assert DEFAULT_BISECT_TOL == 1e-9
+
+
+class TestFindRootBisectArrays:
+    """Each bracket of an array solve follows the scalar rules exactly."""
+
+    # x*x - c on [lo, hi]: roots inside, at lo (c = 0), at hi (c = 4), at
+    # an exact midpoint (c = 1) and far below the bracket's scale.
+    C = np.array([2.0, 0.0, 4.0, 1.0, 0.3, 1e-200])
+    LO = np.array([0.0, 0.0, 0.0, 0.0, -1.0, 0.0])
+    HI = np.array([2.0, 2.0, 2.0, 2.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-300])
+    def test_matches_scalar_brackets(self, tol):
+        roots = find_root_bisect(lambda x: x * x - self.C, self.LO, self.HI, tol=tol)
+        assert isinstance(roots, np.ndarray)
+        expected = [
+            find_root_bisect(lambda x, c=c: x * x - c, lo, hi, tol=tol)
+            for c, lo, hi in zip(self.C.tolist(), self.LO.tolist(), self.HI.tolist())
+        ]
+        assert roots.tolist() == expected
+        assert expected[1:4] == [0.0, 2.0, 1.0]
+
+    def test_brackets_broadcast(self):
+        roots = find_root_bisect(lambda x: x - np.array([0.25, 0.5]), 0.0, np.ones(2))
+        assert roots.tolist() == [0.25, 0.5]
+
+    def test_one_bracket_without_sign_change_raises(self):
+        with pytest.raises(NoSignChangeError, match="f\\(1.0\\)"):
+            find_root_bisect(lambda x: x * x - self.C[:2], np.array([0.0, 1.0]), 2.0)
+
+    def test_one_invalid_bracket_raises(self):
+        with pytest.raises(ValueError, match="invalid bracket \\[3.0, 2.0\\]"):
+            find_root_bisect(lambda x: x, np.array([0.0, 3.0]), 2.0)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from lfqkd.numerics import binary_entropy
@@ -21,6 +22,7 @@ from lfqkd.rates import (
     phase_error_single_bound,
     qber,
     rate_basis_independent_baseline,
+    rate_kernel,
     single_photon_stats,
 )
 
@@ -182,6 +184,15 @@ class TestChannelModels:
         with pytest.raises(DegenerateInputError):
             coherent_memory_stats(SystemParams(e_d=0.0, mu=0.5, eta_c=0.0, eta_m=0.5))
 
+    @pytest.mark.parametrize("mu, eta_c", [(1e-300, 1e-300), (0.4, 5e-324)])
+    def test_memory_trigger_underflow_takes_limit(self, mu, eta_c):
+        # eta_c * mu rounds to 0, so 1 - exp(-eta_c*mu) does too: P1 -> exp(-mu).
+        assert eta_c * mu == 0.0
+        _, p_1, _, _ = coherent_memory_stats(
+            SystemParams(e_d=0.0, mu=mu, eta_c=eta_c, eta_m=1.0)
+        )
+        assert p_1 == math.exp(-mu)
+
 
 class TestKeyRateCoherent:
     def test_errorless_rate_is_single_photon_fraction(self):
@@ -213,6 +224,38 @@ class TestKeyRateCoherent:
                 assert b.ec_cost == pytest.approx(
                     stats.q_s * binary_entropy(e_d), abs=1e-15
                 )
+
+
+class TestRateKernel:
+    """The array kernel against the scalar formulas it restates."""
+
+    ETAS = (0.3, 0.5, 0.55, 0.7, 0.85, 1.0)
+    E_DS = (0.0, 0.01, 0.05, 0.11, 0.3, 0.5)
+
+    @staticmethod
+    def terms(model):
+        if isinstance(model, SinglePhoton):
+            stats = single_photon_stats(model.system_params())
+            return stats.q_s, 1.0, stats.q_s
+        stats_of = coherent_stats if isinstance(model, CoherentDecoy) else coherent_memory_stats
+        stats, p_1, y_1, _ = stats_of(model.system_params())
+        return stats.q_s, p_1, y_1
+
+    @pytest.mark.parametrize("make", [
+        lambda eta, e_d: SinglePhoton(eta=eta, e_d=e_d),
+        lambda eta, e_d: CoherentDecoy(mu=0.5, eta=eta, e_d=e_d),
+        lambda eta, e_d: CoherentDecoyMemory(mu=0.5, eta_c=0.01, eta_m=eta, e_d=e_d),
+    ], ids=["single-photon", "coherent", "coherent-memory"])
+    def test_matches_scalar_rate(self, make):
+        models = [make(eta, e_d) for eta in self.ETAS for e_d in self.E_DS]
+        q_s, p_1, y_1 = zip(*(self.terms(m) for m in models))
+        assert len(set(p_1)) == 1
+        rate = rate_kernel(np.array(q_s), p_1[0], np.array(y_1))
+        values = rate(np.array([m.e_d for m in models]))
+        # Same operations in the same order; numpy's log2 may differ from
+        # math.log2 in the last ulp, and every term is at most 1.
+        for model, value in zip(models, values.tolist()):
+            assert value == pytest.approx(key_rate(model).rate, abs=4 * 2.0**-52)
 
 
 class TestKeyRateDispatch:

@@ -72,12 +72,12 @@ class TestSolveThreshold:
             solve_threshold_ed("entangled", 1.0)
 
 
-# Lower bounds keep eta_c * mu clear of float underflow, where the memory
-# model's trigger probability -expm1(-eta_c * mu) rounds to zero.
+# At the low ends eta_c * mu underflows to 0, where the memory model's P1
+# takes its limit exp(-mu).
 FAMILY = st.sampled_from(MODEL_FAMILIES)
 ETA = st.floats(0.0, 1.0, exclude_min=True)
-MU = st.floats(1e-9, 20.0)
-ETA_C = st.floats(1e-9, 1.0)
+MU = st.floats(1e-300, 20.0)
+ETA_C = st.floats(1e-300, 1.0)
 E_D = st.floats(0.0, 0.5)
 
 
@@ -97,6 +97,40 @@ class TestRateProperties:
         rate_lo = rate_at(family, eta, lo, mu=mu, eta_c=eta_c)
         rate_hi = rate_at(family, eta, hi, mu=mu, eta_c=eta_c)
         assert rate_hi <= rate_lo + 1e-12
+
+
+@st.composite
+def grids(draw):
+    ends = sorted(draw(st.lists(ETA, min_size=2, max_size=2)))
+    return GridSpec(eta_min=ends[0], eta_max=ends[1], step=draw(st.floats(0.01, 0.5)))
+
+
+class TestSweepAgainstScalarReference:
+    """The array sweep against the scalar rate_at it restates."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=FAMILY,
+        mu=st.floats(1e-3, 5.0),
+        eta_c=st.floats(0.0, 1.0, exclude_min=True),
+        grid=grids(),
+        tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+    )
+    def test_sweep_matches_scalar_rate(self, family, mu, eta_c, grid, tol):
+        try:
+            points = sweep_curve(family, grid=grid, tol=tol, mu=mu, eta_c=eta_c).points
+        except EmptyCurveError:
+            points = ()
+        swept = {p.eta: p.e_d_max for p in points}
+        for eta in grid.values():
+            e_d_max = swept.get(eta)
+            if e_d_max is None:
+                assert rate_at(family, eta, 0.0, mu=mu, eta_c=eta_c) <= 0.0
+            else:
+                below = rate_at(family, eta, max(e_d_max - 2 * tol, 0.0), mu=mu, eta_c=eta_c)
+                above = rate_at(family, eta, min(e_d_max + 2 * tol, 0.5), mu=mu, eta_c=eta_c)
+                assert below >= 0.0 > above
+            assert solve_threshold_ed(family, eta, tol=tol, mu=mu, eta_c=eta_c) == e_d_max
 
 
 class TestSweepCurve:
