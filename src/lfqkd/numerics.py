@@ -50,42 +50,36 @@ def binary_entropy_array(x: np.ndarray) -> np.ndarray:
 
 
 def find_root_bisect(
-    f: Callable,
-    lo: float | np.ndarray,
-    hi: float | np.ndarray,
+    f: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
     tol: float = DEFAULT_BISECT_TOL,
-) -> float | np.ndarray:
-    """Locate a root of ``f`` on ``[lo, hi]`` by bisection, elementwise.
+) -> np.ndarray:
+    """Locate a root of ``f`` in each bracket ``[lo, hi]`` by bisection.
 
-    ``lo`` and ``hi`` are floats, or arrays that broadcast together. For
-    floats, ``f`` maps a float to a float and the root is returned as a
-    float. For arrays, ``f`` maps an array of points to the array of their
-    values, is called once per halving on every bracket, and an array of
-    roots is returned. Each bracket follows the same rules: ``f(lo) == 0``
-    returns ``lo``, else ``f(hi) == 0`` returns ``hi``; otherwise the two
-    must have opposite signs. The bracket is then halved until its width is
-    at most ``tol``, its midpoint is no longer strictly inside it (``tol``
-    below float spacing), or ``f`` is exactly zero at the midpoint, which is
-    returned. So the result is within ``tol`` of a true root (or one ulp of
-    it), and a finite bracket ends within about 2,100 halvings.
-    Deterministic: the same inputs always produce the same output.
+    ``lo`` and ``hi`` are float arrays (or floats) that broadcast together;
+    ``f`` maps an array of points to the array of their values and is
+    called once per halving on every bracket. Returns the array of roots,
+    at least one-dimensional. Each bracket follows the same rules:
+    ``f(lo) == 0`` returns ``lo``, else ``f(hi) == 0`` returns ``hi``;
+    otherwise the two must have opposite signs. The bracket is then halved
+    until its width is at most ``tol``, its midpoint is no longer strictly
+    inside it (``tol`` below float spacing), or ``f`` is exactly zero at
+    the midpoint, which is returned. So each root is within ``tol`` of a
+    true root (or one ulp of it), and a finite bracket ends within about
+    2,100 halvings. Deterministic: the same inputs always produce the same
+    output.
 
     Raises
     ------
     ValueError
-        If ``tol`` is not positive or a bracket does not have ``lo < hi``.
+        If ``tol`` is not positive and finite or a bracket does not have
+        ``lo < hi``.
     NoSignChangeError
         If ``f(lo)`` and ``f(hi)`` have the same (nonzero) sign.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    if scalar:
-        f_scalar = f
-
-        def f(x):
-            return np.array([f_scalar(float(x[0]))])
-
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     lo, hi = np.broadcast_arrays(
         np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
     )
@@ -109,8 +103,8 @@ def find_root_bisect(
                 f"f({lo[i]}) = {f_lo[i]} and f({hi[i]}) = {f_hi[i]} have the same sign"
             )
     while not done.all():
-        # Overflow to inf and inf - inf give the values and stops Python
-        # floats give, without numpy's warnings.
+        # A bracket wider than the float range overflows to inf (and
+        # inf - inf); the stop tests still hold, so numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
             mid = 0.5 * (lo + hi)
             stop = ~done & ((hi - lo <= tol) | ~((lo < mid) & (mid < hi)))
@@ -127,4 +121,4 @@ def find_root_bisect(
         lo = np.where(to_lo, mid, lo)
         f_lo = np.where(to_lo, f_mid, f_lo)
         hi = np.where(to_lo, hi, mid)
-    return float(root[0]) if scalar else root
+    return root

@@ -55,6 +55,11 @@ def check_probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
+def _check_mu(mu: float) -> None:
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite for a coherent source, got {mu}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical parameters of the source/channel/detector chain.
@@ -73,7 +78,7 @@ class SystemParams:
         Memory readout probability (memory model only).
 
     Dark counts are neglected by the closed forms, so there is no dark-count
-    field; ``lfqkd.simulate.run_trials`` has a ``dark_count`` hook instead.
+    field.
     """
 
     eta: float = 0.0
@@ -116,8 +121,7 @@ class CoherentDecoy:
     tag: ClassVar[str] = "coherent"
 
     def __post_init__(self) -> None:
-        if self.mu <= 0.0:
-            raise ValueError(f"mu must be positive for a coherent source, got {self.mu}")
+        _check_mu(self.mu)
         self.system_params()
 
     def system_params(self) -> SystemParams:
@@ -140,8 +144,7 @@ class CoherentDecoyMemory:
     tag: ClassVar[str] = "coherent-memory"
 
     def __post_init__(self) -> None:
-        if self.mu <= 0.0:
-            raise ValueError(f"mu must be positive for a coherent source, got {self.mu}")
+        _check_mu(self.mu)
         self.system_params()
 
     def system_params(self) -> SystemParams:
@@ -261,8 +264,7 @@ def single_photon_stats(params: SystemParams) -> DetectionStats:
 
 def single_photon_probability(mu: float) -> float:
     """P1 = mu * exp(-mu): the chance that a coherent pulse holds one photon."""
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive for a coherent source, got {mu}")
+    _check_mu(mu)
     return mu * math.exp(-mu)
 
 
@@ -273,8 +275,7 @@ def heralded_single_photon_probability(mu: float, eta_c: float) -> float:
     the limit exp(-mu) is returned instead of a 0/0. Raises
     DegenerateInputError at eta_c = 0, where the trigger never fires.
     """
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive for a coherent source, got {mu}")
+    _check_mu(mu)
     if eta_c == 0.0:
         raise DegenerateInputError("eta_c = 0: the memory never triggers")
     trigger = -math.expm1(-eta_c * mu)

@@ -1,10 +1,11 @@
 """Seeded Monte Carlo of the two-detector squashing-model measurement.
 
 Each trial is one pulse: Alice draws a uniform bit and basis, Bob an
-independent uniform basis, and the channel (or the adversary) decides which
-of Bob's two threshold detectors fire. The squashing view reduces every
-pulse to a classical outcome flag — no click, single click with a bit, or
-double click — so no density-matrix machinery is needed for these scenarios.
+independent uniform basis, and the channel (or the adversary) decides the
+outcome at Bob's two threshold detectors. The squashing view reduces every
+pulse to a classical pair: its click kind (no click, single click or double
+click) and, for a single click, the bit of the detector that fired. So no
+density-matrix machinery is needed for these scenarios.
 
 Pre-processing follows the loophole-free rule: single clicks keep their bit,
 while no-clicks and double clicks receive a uniformly random bit. A bit is
@@ -17,8 +18,8 @@ taken over basis-matched (sifted) pulses; Q_s and E_s estimate the analytic
 channel model of the matching source.
 
 Determinism: a batch is a pure function of (model, adversary, n_pulses,
-seed, dark_count). Pulses are generated in fixed-size shards of
-``SHARD_SIZE``; shard i uses a dedicated generator seeded from child i of
+seed). Pulses are generated in fixed-size shards of ``SHARD_SIZE``; shard i
+uses a dedicated generator seeded from child i of
 ``numpy.random.SeedSequence(seed)``. Shards are independent, and tallies
 merge by addition, so the result does not depend on how shard execution is
 scheduled.
@@ -69,6 +70,11 @@ class ClickKind(IntEnum):
     SINGLE = 1
     DOUBLE = 2
 
+
+#: int8 ``ClickKind`` codes. Kind arrays are built by arithmetic on them,
+#: ``_DOUBLE - single`` for a pulse that clicked, because ``np.where`` on a
+#: random mask costs far more per pulse.
+_SINGLE, _DOUBLE = np.int8(ClickKind.SINGLE), np.int8(ClickKind.DOUBLE)
 
 #: Fields of a ``trial_records`` row.
 _RECORD_FIELDS = ("alice_bit", "alice_basis", "bob_basis", "kind", "assigned_bit")
@@ -150,105 +156,89 @@ def _scenario_tag(adversary: AdversaryStrategy) -> str:
     return adversary.tag
 
 
-def _honest_hits(model, alice_bits, matched, n, rng, dark_count):
-    """Detector hit masks (hit0, hit1) for the honest channel of ``model``."""
+def _honest_hits(model, alice_bits, matched, n, rng):
+    """Click kinds and single-click bits for the honest channel of ``model``."""
     if isinstance(model, CoherentDecoy):
         # Poisson thinning: photons surviving loss are Poisson(eta*mu).
         detected = rng.poisson(model.eta * model.mu, size=n)
         u = rng.random(n)
         mm_bits = rng.integers(0, 2, size=n, dtype=np.int8)
-        has = detected > 0
         # Matched bases: every survivor routes to the correct detector with
         # probability 1-e_d, independently; a single click needs them all on
         # one side. Mismatched bases: every survivor routes uniformly.
         p_all_correct = np.power(1.0 - model.e_d, detected)
         p_all_wrong = np.power(model.e_d, detected)
         m_single_correct = u < p_all_correct
-        m_single_wrong = ~m_single_correct & (u < p_all_correct + p_all_wrong)
-        m_single = m_single_correct | m_single_wrong
-        m_bits = np.where(m_single_wrong, alice_bits ^ 1, alice_bits)
+        m_single = u < p_all_correct + p_all_wrong
+        m_bits = np.where(m_single_correct, alice_bits, alice_bits ^ 1)
         with np.errstate(over="ignore"):
             p_one_side = np.power(2.0, 1.0 - detected.astype(np.float64))
-        mm_single = u < p_one_side
-        single = has & np.where(matched, m_single, mm_single)
-        double = has & ~np.where(matched, m_single, mm_single)
-        bits = np.where(matched, m_bits, mm_bits).astype(np.int8)
-        hit0 = (single & (bits == 0)) | double
-        hit1 = (single & (bits == 1)) | double
-    else:
-        if isinstance(model, SinglePhoton):
-            clicked = rng.random(n) < model.eta
-        else:  # CoherentDecoyMemory: trials are conditioned on the trigger.
-            clicked = rng.random(n) < model.eta_m
-        flips = rng.random(n) < model.e_d
-        mm_bits = rng.integers(0, 2, size=n, dtype=np.int8)
-        dest = np.where(matched, alice_bits ^ flips.astype(np.int8), mm_bits)
-        hit0 = clicked & (dest == 0)
-        hit1 = clicked & (dest == 1)
-    if dark_count > 0.0:
-        hit0 = hit0 | (rng.random(n) < dark_count)
-        hit1 = hit1 | (rng.random(n) < dark_count)
-    return hit0, hit1
+        one_side = np.where(matched, m_single, u < p_one_side)
+        kind = (detected > 0) * (_DOUBLE - one_side)
+        return kind, np.where(matched, m_bits, mm_bits)
+    if isinstance(model, SinglePhoton):
+        clicked = rng.random(n) < model.eta
+    else:  # CoherentDecoyMemory: trials are conditioned on the trigger.
+        clicked = rng.random(n) < model.eta_m
+    flips = rng.random(n) < model.e_d
+    mm_bits = rng.integers(0, 2, size=n, dtype=np.int8)
+    dest = np.where(matched, alice_bits ^ flips, mm_bits)
+    return clicked.astype(np.int8), dest
 
 
 def _time_shift_hits(model, alice_bits, matched, n, rng):
     # Channel transmittance forced to 1: all loss in the batch is Eve's.
     flips = rng.random(n) < model.e_d
     mm_bits = rng.integers(0, 2, size=n, dtype=np.int8)
-    dest = np.where(matched, alice_bits ^ flips.astype(np.int8), mm_bits)
+    dest = np.where(matched, alice_bits ^ flips, mm_bits)
     active = rng.integers(0, 2, size=n, dtype=np.int8)
-    clicked = dest == active
-    return clicked & (dest == 0), clicked & (dest == 1)
+    return (dest == active).astype(np.int8), dest
 
 
 def _strong_pulse_hits(adversary, alice_bits, alice_bases, bob_bases, n, rng):
     eve_bases = rng.integers(0, 2, size=n, dtype=np.int8)
     eve_rand = rng.integers(0, 2, size=n, dtype=np.int8)
-    eve_bits = np.where(eve_bases == alice_bases, alice_bits, eve_rand).astype(np.int8)
+    eve_bits = np.where(eve_bases == alice_bases, alice_bits, eve_rand)
     same_basis = bob_bases == eve_bases
     u = rng.random(n)
     conj_bits = rng.integers(0, 2, size=n, dtype=np.int8)
     one_side = u < 2.0 ** (1 - adversary.n_photons)
-    single = same_basis | one_side
-    bits = np.where(same_basis, eve_bits, conj_bits).astype(np.int8)
-    double = ~single
-    hit0 = (single & (bits == 0)) | double
-    hit1 = (single & (bits == 1)) | double
-    return hit0, hit1
+    kind = _DOUBLE - (same_basis | one_side)
+    return kind, np.where(same_basis, eve_bits, conj_bits)
 
 
-def _simulate_shard(model, adversary, n, rng, dark_count):
-    """Per-pulse arrays for one shard; the RNG draw order is fixed."""
+def _simulate_shard(model, adversary, n, rng):
+    """Per-pulse arrays for one shard; the RNG draw order is fixed.
+
+    Each channel returns the pulse's int8 ``ClickKind`` code and the bit a
+    single click carries; that bit is ignored for the other kinds.
+    """
     alice_bits = rng.integers(0, 2, size=n, dtype=np.int8)
     alice_bases = rng.integers(0, 2, size=n, dtype=np.int8)
     bob_bases = rng.integers(0, 2, size=n, dtype=np.int8)
     matched = alice_bases == bob_bases
 
     if adversary is None:
-        hit0, hit1 = _honest_hits(model, alice_bits, matched, n, rng, dark_count)
+        kind, bit = _honest_hits(model, alice_bits, matched, n, rng)
     elif isinstance(adversary, ExtremeTimeShift):
-        hit0, hit1 = _time_shift_hits(model, alice_bits, matched, n, rng)
+        kind, bit = _time_shift_hits(model, alice_bits, matched, n, rng)
     elif isinstance(adversary, StrongPulse):
-        hit0, hit1 = _strong_pulse_hits(
-            adversary, alice_bits, alice_bases, bob_bases, n, rng
-        )
+        kind, bit = _strong_pulse_hits(adversary, alice_bits, alice_bases, bob_bases, n, rng)
     else:
         raise TypeError(f"unknown adversary strategy: {adversary!r}")
 
     assign_bits = rng.integers(0, 2, size=n, dtype=np.int8)
-    kind = hit0.astype(np.int8) + hit1.astype(np.int8)
-    assigned = np.where(kind == ClickKind.SINGLE, hit1.astype(np.int8), assign_bits)
     return {
         "alice_bit": alice_bits,
         "alice_basis": alice_bases,
         "bob_basis": bob_bases,
         "kind": kind,
-        "assigned_bit": assigned,
+        "assigned_bit": np.where(kind == _SINGLE, bit, assign_bits),
         "matched": matched,
     }
 
 
-def _pulse_shards(model, adversary, n_pulses, seed, dark_count) -> Iterator[dict]:
+def _pulse_shards(model, adversary, n_pulses, seed) -> Iterator[dict]:
     """Check the inputs, then simulate and yield one shard at a time, in order.
 
     The one input check for every entry point. Shard i draws from a
@@ -256,15 +246,13 @@ def _pulse_shards(model, adversary, n_pulses, seed, dark_count) -> Iterator[dict
     """
     if n_pulses <= 0:
         raise ValueError(f"n_pulses must be positive, got {n_pulses}")
-    if not 0.0 <= dark_count <= 1.0:
-        raise ValueError(f"dark_count must be in [0, 1], got {dark_count}")
     if not isinstance(model, (SinglePhoton, CoherentDecoy, CoherentDecoyMemory)):
         raise TypeError(f"unknown source model: {model!r}")
     n_shards = -(-n_pulses // SHARD_SIZE)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_shards)):
         shard_n = min(SHARD_SIZE, n_pulses - i * SHARD_SIZE)
         rng = np.random.default_rng(child)
-        yield _simulate_shard(model, adversary, shard_n, rng, dark_count)
+        yield _simulate_shard(model, adversary, shard_n, rng)
 
 
 def run_trials(
@@ -272,20 +260,17 @@ def run_trials(
     adversary: AdversaryStrategy = None,
     n_pulses: int = 1_000_000,
     seed: int = 0,
-    dark_count: float = 0.0,
 ) -> TrialBatch:
     """Simulate ``n_pulses`` pulses and return the sifted tallies.
 
     ``n_pulses`` counts generated pulses; the returned batch's ``n_pulses``
     is the basis-matched subset those tallies cover. Identical arguments
-    produce a bit-identical batch. ``dark_count`` adds independent spurious
-    clicks per detector; it is a simulator-only hook, since the closed forms
-    neglect dark counts.
+    produce a bit-identical batch.
     """
     # Sifted pulses and sifted errors, indexed by ClickKind code.
     n_kind = [0] * len(ClickKind)
     n_err = [0] * len(ClickKind)
-    for a in _pulse_shards(model, adversary, n_pulses, seed, dark_count):
+    for a in _pulse_shards(model, adversary, n_pulses, seed):
         matched = a["matched"]
         matched_err = matched & (a["assigned_bit"] != a["alice_bit"])
         for k in ClickKind:
@@ -313,7 +298,6 @@ def trial_records(
     adversary: AdversaryStrategy = None,
     n_pulses: int = 1000,
     seed: int = 0,
-    dark_count: float = 0.0,
 ) -> np.ndarray:
     """Per-pulse records of the same pulse stream ``run_trials`` tallies.
 
@@ -323,7 +307,7 @@ def trial_records(
     ``ClickKind`` code) and ``assigned_bit``. The assigned bit is the
     detector's for a single click and uniformly random otherwise.
     """
-    shards = list(_pulse_shards(model, adversary, n_pulses, seed, dark_count))
+    shards = list(_pulse_shards(model, adversary, n_pulses, seed))
     records = np.empty(n_pulses, dtype=[(name, np.int8) for name in _RECORD_FIELDS])
     for name in _RECORD_FIELDS:
         records[name] = np.concatenate([a[name] for a in shards])

@@ -69,8 +69,8 @@ class GridSpec:
                 f"grid must satisfy 0 < eta_min <= eta_max <= 1, "
                 f"got [{self.eta_min}, {self.eta_max}]"
             )
-        if self.step <= 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step}")
 
     def values(self) -> list[float]:
         n_steps = int(round((self.eta_max - self.eta_min) / self.step))
@@ -152,8 +152,8 @@ def _solve_grid(
     if outside.any():
         raise ValueError(f"eta must be in (0, 1], got {etas[outside][0]}")
     q_s, p_1, y_1 = _channel_terms(family, etas, mu, eta_c)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     e_d_max = np.full(etas.shape, np.nan)
     kept = rate_kernel(q_s, p_1, y_1)(np.zeros(etas.shape)) > 0.0

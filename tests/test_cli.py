@@ -1,19 +1,25 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lfqkd.cli import (
     EXIT_DEGENERATE,
     EXIT_EMPTY_CURVE,
     EXIT_INVALID_CONFIG,
     EXIT_OK,
+    SOURCE_MODELS,
     main,
 )
 from lfqkd.rates import CoherentDecoyMemory, SinglePhoton, key_rate
 from lfqkd.simulate import run_trials
+from lfqkd.threshold import MODEL_FAMILIES
 
 P1_MEMORY = 0.6080482499669296
 
@@ -32,6 +38,42 @@ THRESHOLD_JSON_SHA256 = {
     "coherent": "12d69f49daaaf9c229d3cef2acb5479b332e72310062be9e4200bee70cf92120",
     "coherent-memory": "1fa635942446b0d59a410051aacc044cc8d5ea23b831c5111e4f53aaad2e26a2",
     "single-photon-memory": "583432f294acd075558800e8a6a69fff4b97ec35896903bdf02f01daf50453f6",
+}
+
+# Flags of the benchmark's five mc-batches scenarios.
+SCENARIO_FLAGS = {
+    "single-photon": ("--model", "single-photon", "--eta", "0.7", "--ed", "0.03"),
+    "coherent": ("--model", "coherent", "--mu", "0.5", "--eta", "0.8", "--ed", "0.02"),
+    "coherent-memory": ("--model", "coherent-memory", "--eta-m", "0.75", "--ed", "0.01"),
+    "time-shift": (
+        "--model", "single-photon", "--eta", "1", "--ed", "0", "--adversary", "time-shift",
+    ),
+    "strong-pulse": (
+        "--model", "single-photon", "--eta", "1", "--ed", "0", "--adversary", "strong-pulse",
+    ),
+}
+# sha256 of simulate stdout at --n-pulses 300000 (two shards), by scenario and
+# seed, and of compare stdout at --n-pulses 16384, by honest model and seed.
+# They pin the RNG stream: a change that announces a new stream updates them.
+SIMULATE_SHA256 = {
+    ("coherent", "1"): "0131deb94a4ea717c8465613332017a423ad7d6fa86e91a223f155126a545ee9",
+    ("coherent", "2"): "c3892af0f069fcf7f4e93dde2b06b5605f45bf38644ada929b8c035189a9fb61",
+    ("coherent-memory", "1"): "ee0ba0c6750b08e4659913573163d8d99604c2711745768ba9e174d1a9da60c8",
+    ("coherent-memory", "2"): "00965d8f0a0a916f3fa45b6fc7c3b820d59ccbbb2ddbeb6d312fac4499919eae",
+    ("single-photon", "1"): "18c9f6cb0cd67cf310a4393eeb0b610acc1627a67a95952c89f70728cba59574",
+    ("single-photon", "2"): "7a5544ab5ac4547c3350e975ce7d6e5096c88a43601ce8dcd3aaa62154d8df98",
+    ("strong-pulse", "1"): "75dfdcd76ca6df7588cd8071ab6b742543398bbb09634e648ab5971f706bcacb",
+    ("strong-pulse", "2"): "c8b80e803a640a8c35b37d3ac7c8474afd86558878c18bea0c9f0498bde5f602",
+    ("time-shift", "1"): "622a59b7d2f46432e565c36749604f1b19700bb3f92cfaed0cbd6a17ec1e28c8",
+    ("time-shift", "2"): "3216a05f605269498fc5495901bbfd8f473581fbdf7a832b143beb75de0b9dc5",
+}
+COMPARE_SHA256 = {
+    ("coherent", "1"): "9b41c2013d81c1de313ef2ab57df4ed690ca7c8cda28bf2f8ecb64b847093173",
+    ("coherent", "2"): "99378a405806b99f462b666891c0a6f618ff5dca0269b80ed568220d2e355ce0",
+    ("coherent-memory", "1"): "ebe74819f9f00ad83222c794669506cfd24567f536be6fb331fb6f1e2accd650",
+    ("coherent-memory", "2"): "4e249da41a4443caf09099cf8a09331cafa9109ac8b3e45f50bfb77c19dcfec1",
+    ("single-photon", "1"): "3450f97c994c5db4a65998c879f8cdf74ea85f018fe2251086d825ccc57f9de9",
+    ("single-photon", "2"): "3e51f33848681030e7eb8f1412b04870d356b0703194d9ce6a1c7f5b71e20f0b",
 }
 
 
@@ -172,6 +214,21 @@ class TestThresholdCommand:
         ) == EXIT_INVALID_CONFIG
         assert "tol must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step_exits_2(self, capsys, step):
+        assert run_cli("threshold", "--model", "coherent", "--step", step) == EXIT_INVALID_CONFIG
+        assert f"step must be positive and finite, got {step}" in capsys.readouterr().err
+
+    def test_inf_tol_exits_2(self, capsys):
+        # An infinite tol would stop every bracket at its first midpoint.
+        assert run_cli(
+            "threshold", "--model", "coherent", "--eta-min", "0.9", "--step", "0.05",
+            "--tol", "inf",
+        ) == EXIT_INVALID_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "tol must be positive and finite, got inf" in err
+
     def test_memory_trigger_underflow(self, capsys):
         # eta_c * mu underflows to 0: P1 takes its limit exp(-mu) = 1.
         assert run_cli(
@@ -268,6 +325,14 @@ class TestSimulateCommand:
         ) == EXIT_OK
         assert json.loads(out.read_text())["n_pulses"] > 0
 
+    @pytest.mark.parametrize("scenario, seed", sorted(SIMULATE_SHA256))
+    def test_output_bytes_pinned(self, capsys, scenario, seed):
+        assert run_cli(
+            "simulate", *SCENARIO_FLAGS[scenario], "--n-pulses", "300000", "--seed", seed,
+        ) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_SHA256[scenario, seed]
+
 
 class TestCompareCommand:
     def test_honest_comparison_passes(self, capsys):
@@ -323,6 +388,30 @@ class TestCompareCommand:
         ))
         assert run_cli("compare", "--config", str(config)) == EXIT_INVALID_CONFIG
         assert "unknown config keys: adversary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, seed", sorted(COMPARE_SHA256))
+    def test_output_bytes_pinned(self, capsys, model, seed):
+        assert run_cli(
+            "compare", *SCENARIO_FLAGS[model], "--n-pulses", "16384", "--seed", seed,
+        ) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == COMPARE_SHA256[model, seed]
+
+
+class TestNonFiniteMu:
+    @pytest.mark.parametrize("command", ["rate", "threshold", "simulate", "compare"])
+    @pytest.mark.parametrize("model", ["coherent", "coherent-memory"])
+    @pytest.mark.parametrize("mu", ["nan", "inf"])
+    def test_exits_2_naming_mu(self, capsys, command, model, mu):
+        argv = [command, "--model", model, "--mu", mu]
+        if command != "threshold":
+            argv += ["--eta" if model == "coherent" else "--eta-m", "0.8"]
+        if command in ("simulate", "compare"):
+            argv += ["--n-pulses", "100"]
+        assert run_cli(*argv) == EXIT_INVALID_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"mu must be positive and finite for a coherent source, got {mu}" in err
 
 
 class TestConfigFile:
@@ -400,3 +489,61 @@ class TestConfigFile:
             None, 20000, seed=21,
         )
         assert payload == batch.summary()
+
+
+# Any float, with the edge values drawn often: NaN, infinities, zeros,
+# subnormals and values outside every flag's range.
+ANY_FLOAT = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, 1.5, -1.0]),
+    st.floats(),
+)
+# Positive steps below 1e-3 are left out: GridSpec.values() builds a list of
+# (eta_max - eta_min)/step floats, which grows without bound.
+STEP = st.one_of(st.floats(min_value=1e-3), st.floats(max_value=0.0), st.just(math.nan))
+
+
+@st.composite
+def flag_values(draw, flags):
+    """Flags drawn from ``flags`` (name -> value strategy), each one optional.
+
+    Each is passed as ``--flag=value``: argparse would read a separate
+    ``-inf`` or ``-1e-05`` as a flag name.
+    """
+    return [
+        f"{flag}={draw(values)!r}" for flag, values in flags.items() if draw(st.booleans())
+    ]
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestExitCodeProperties:
+    """Whatever float a flag holds, the CLI exits with a documented code."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        model=st.sampled_from(SOURCE_MODELS),
+        flags=flag_values({
+            "--eta": ANY_FLOAT, "--ed": ANY_FLOAT, "--mu": ANY_FLOAT,
+            "--eta-c": ANY_FLOAT, "--eta-m": ANY_FLOAT,
+        }),
+    )
+    def test_rate(self, model, flags):
+        assert quiet_main(["rate", "--model", model, *flags]) in (
+            EXIT_OK, EXIT_INVALID_CONFIG,
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        model=st.sampled_from(MODEL_FAMILIES),
+        flags=flag_values({
+            "--eta-min": ANY_FLOAT, "--eta-max": ANY_FLOAT, "--step": STEP,
+            "--tol": ANY_FLOAT, "--mu": ANY_FLOAT, "--eta-c": ANY_FLOAT,
+        }),
+    )
+    def test_threshold(self, model, flags):
+        assert quiet_main(["threshold", "--model", model, *flags]) in (
+            EXIT_OK, EXIT_INVALID_CONFIG, EXIT_EMPTY_CURVE,
+        )

@@ -68,72 +68,82 @@ class TestBinaryEntropy:
             assert value == pytest.approx(binary_entropy(x), abs=2 * 2.0**-52)
 
 
+def solve_one(f, lo, hi, **kwargs):
+    """Root of the one bracket [lo, hi], solved as a one-element array."""
+    (root,) = find_root_bisect(f, np.array([lo]), np.array([hi]), **kwargs).tolist()
+    return root
+
+
 class TestFindRootBisect:
     def test_linear_root(self):
-        assert find_root_bisect(lambda x: x - 0.5, 0.0, 1.0, tol=1e-9) == 0.5
+        assert solve_one(lambda x: x - 0.5, 0.0, 1.0, tol=1e-9) == 0.5
 
     def test_sqrt_two(self):
-        root = find_root_bisect(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-9)
+        root = solve_one(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-9)
         assert root == pytest.approx(SQRT2, abs=1e-9)
 
     def test_interior_root(self):
-        assert find_root_bisect(lambda x: x, -1.0, 1.0) == 0.0
+        assert solve_one(lambda x: x, -1.0, 1.0) == 0.0
 
     @pytest.mark.parametrize(
         "f, lo, hi, reference",
         [
             (lambda x: x**3 - 5.0, 0.0, 3.0, 5.0 ** (1.0 / 3.0)),
-            (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
-            (lambda x: math.exp(x) - 2.0, 0.0, 1.0, math.log(2.0)),
+            (lambda x: np.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+            (lambda x: np.exp(x) - 2.0, 0.0, 1.0, math.log(2.0)),
         ],
     )
     def test_analytic_roots_within_tol(self, f, lo, hi, reference):
         for tol in (1e-6, 1e-9, 1e-12):
-            assert abs(find_root_bisect(f, lo, hi, tol=tol) - reference) <= tol
+            assert abs(solve_one(f, lo, hi, tol=tol) - reference) <= tol
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChangeError):
-            find_root_bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+            solve_one(lambda x: x * x + 1.0, -1.0, 1.0)
 
     def test_endpoint_roots_returned_directly(self):
-        assert find_root_bisect(lambda x: x, 0.0, 1.0) == 0.0
-        assert find_root_bisect(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+        assert solve_one(lambda x: x, 0.0, 1.0) == 0.0
+        assert solve_one(lambda x: x - 1.0, 0.0, 1.0) == 1.0
 
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
-            find_root_bisect(lambda x: x, -1.0, 1.0, tol=0.0)
+            solve_one(lambda x: x, -1.0, 1.0, tol=0.0)
 
     def test_nan_tol_rejected(self):
         with pytest.raises(ValueError, match="tol"):
-            find_root_bisect(lambda x: x, -1.0, 1.0, tol=math.nan)
+            solve_one(lambda x: x, -1.0, 1.0, tol=math.nan)
+
+    def test_inf_tol_rejected(self):
+        with pytest.raises(ValueError, match="tol"):
+            solve_one(lambda x: x, -1.0, 1.0, tol=math.inf)
 
     def test_tol_below_float_spacing_stops_at_adjacent_floats(self):
-        root = find_root_bisect(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-300)
+        root = solve_one(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-300)
         assert abs(root - SQRT2) <= math.ulp(SQRT2)
 
     def test_root_far_below_bracket_scale(self):
         # About 1,000 halvings: more than any fixed cap below that allows.
-        root = find_root_bisect(lambda x: x - 1e-200, 0.0, 1.0, tol=1e-300)
+        root = solve_one(lambda x: x - 1e-200, 0.0, 1.0, tol=1e-300)
         assert abs(root - 1e-200) <= 1e-300
 
     def test_bracket_wider_than_float_range(self):
         # hi - lo overflows to inf: the width test must not warn or stop early.
-        assert abs(find_root_bisect(lambda x: x, -1e308, 1.7e308)) <= DEFAULT_BISECT_TOL
+        assert abs(solve_one(lambda x: x, -1e308, 1.7e308)) <= DEFAULT_BISECT_TOL
 
     def test_invalid_bracket(self):
         with pytest.raises(ValueError):
-            find_root_bisect(lambda x: x, 1.0, -1.0)
+            solve_one(lambda x: x, 1.0, -1.0)
 
     def test_deterministic(self):
         f = lambda x: x * x - 2.0  # noqa: E731
-        assert find_root_bisect(f, 0.0, 2.0) == find_root_bisect(f, 0.0, 2.0)
+        assert solve_one(f, 0.0, 2.0) == solve_one(f, 0.0, 2.0)
 
     def test_default_tol(self):
         assert DEFAULT_BISECT_TOL == 1e-9
 
 
 class TestFindRootBisectArrays:
-    """Each bracket of an array solve follows the scalar rules exactly."""
+    """Each bracket of an array solve gives what it gives solved alone."""
 
     # x*x - c on [lo, hi]: roots inside, at lo (c = 0), at hi (c = 4), at
     # an exact midpoint (c = 1) and far below the bracket's scale.
@@ -144,9 +154,8 @@ class TestFindRootBisectArrays:
     @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-300])
     def test_matches_scalar_brackets(self, tol):
         roots = find_root_bisect(lambda x: x * x - self.C, self.LO, self.HI, tol=tol)
-        assert isinstance(roots, np.ndarray)
         expected = [
-            find_root_bisect(lambda x, c=c: x * x - c, lo, hi, tol=tol)
+            solve_one(lambda x, c=c: x * x - c, lo, hi, tol=tol)
             for c, lo, hi in zip(self.C.tolist(), self.LO.tolist(), self.HI.tolist())
         ]
         assert roots.tolist() == expected

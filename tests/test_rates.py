@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lfqkd.numerics import binary_entropy
 from lfqkd.rates import (
@@ -331,6 +332,11 @@ class TestValidation:
             SinglePhoton(eta=1.5, e_d=0.0)
         with pytest.raises(ValueError):
             CoherentDecoy(mu=0.0, eta=0.5, e_d=0.0)
+        for mu in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="mu must be positive and finite"):
+                CoherentDecoy(mu=mu, eta=0.5, e_d=0.0)
+            with pytest.raises(ValueError, match="mu must be positive and finite"):
+                CoherentDecoyMemory(mu=mu, eta_c=0.01, eta_m=0.5, e_d=0.0)
         with pytest.raises(ValueError):
             CoherentDecoyMemory(mu=0.5, eta_c=0.01, eta_m=2.0, e_d=0.0)
 
@@ -338,3 +344,31 @@ class TestValidation:
         breakdown = key_rate(SinglePhoton(eta=0.4, e_d=0.1))
         assert breakdown.rate < 0.0
         assert breakdown.operational_rate == 0.0
+
+
+PROBABILITY = st.floats(0.0, 1.0)
+MU = st.floats(1e-300, 20.0)
+SOURCE_MODELS = st.one_of(
+    st.builds(SinglePhoton, eta=PROBABILITY, e_d=PROBABILITY),
+    st.builds(CoherentDecoy, mu=MU, eta=PROBABILITY, e_d=PROBABILITY),
+    st.builds(
+        CoherentDecoyMemory,
+        mu=MU,
+        eta_c=st.floats(0.0, 1.0, exclude_min=True),
+        eta_m=PROBABILITY,
+        e_d=PROBABILITY,
+    ),
+)
+
+
+class TestRateIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(model=SOURCE_MODELS)
+    def test_rate_is_signal_minus_costs(self, model):
+        breakdown = key_rate(model)
+        if isinstance(model, SinglePhoton):
+            signal = single_photon_stats(model.system_params()).q_s
+        else:
+            signal = breakdown.p_1 * breakdown.y_1
+        expected = signal - breakdown.ec_cost - breakdown.pa_cost
+        assert abs(breakdown.rate - expected) <= 1e-12

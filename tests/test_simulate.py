@@ -138,21 +138,6 @@ class TestHonestChannels:
         assert abs(stats.e_s - 0.01) <= binomial_3sigma(0.01, batch.n_single)
         assert batch.n_double == 0
 
-    def test_dark_count_hook_produces_clicks_on_opaque_channel(self):
-        batch = run_trials(
-            SinglePhoton(eta=0.0, e_d=0.0), None, 100_000, seed=29, dark_count=0.05
-        )
-        assert batch.n_single > 0
-        assert batch.n_double > 0
-        assert batch.n_single + batch.n_double + batch.n_none == batch.n_pulses
-        stats = empirical_stats(batch)
-        # Coin-flip detectors: singles are uniform noise with E_s = 1/2.
-        expected_single = 2 * 0.05 * 0.95
-        assert abs(stats.q_s - expected_single) <= binomial_3sigma(
-            expected_single, batch.n_pulses
-        )
-        assert abs(stats.e_s - 0.5) <= binomial_3sigma(0.5, batch.n_single)
-
 
 class TestQberAccounting:
     @pytest.mark.parametrize("model", [SP_MODEL, COH_MODEL, MEM_MODEL])
@@ -405,10 +390,6 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             run_trials(SP_MODEL, None, 0, seed=0)
 
-    def test_dark_count_range(self):
-        with pytest.raises(ValueError):
-            run_trials(SP_MODEL, None, 100, seed=0, dark_count=1.5)
-
     def test_unknown_model(self):
         with pytest.raises(TypeError):
             run_trials("single-photon", None, 100, seed=0)
@@ -418,18 +399,16 @@ class TestInputValidation:
             run_trials(SP_MODEL, "time-shift", 100, seed=0)
 
     @pytest.mark.parametrize(
-        "model, n_pulses, dark_count, error",
+        "model, n_pulses, error",
         [
-            (SP_MODEL, 0, 0.0, ValueError),
-            (SP_MODEL, -5, 0.0, ValueError),
-            (SP_MODEL, 100, 1.5, ValueError),
-            (SP_MODEL, 100, -0.1, ValueError),
-            ("single-photon", 100, 0.0, TypeError),
+            (SP_MODEL, 0, ValueError),
+            (SP_MODEL, -5, ValueError),
+            ("single-photon", 100, TypeError),
         ],
     )
-    def test_trial_records_shares_the_input_check(self, model, n_pulses, dark_count, error):
+    def test_trial_records_shares_the_input_check(self, model, n_pulses, error):
         with pytest.raises(error) as batch_error:
-            run_trials(model, None, n_pulses, seed=0, dark_count=dark_count)
+            run_trials(model, None, n_pulses, seed=0)
         with pytest.raises(error) as records_error:
-            trial_records(model, None, n_pulses, seed=0, dark_count=dark_count)
+            trial_records(model, None, n_pulses, seed=0)
         assert str(records_error.value) == str(batch_error.value)
