@@ -284,6 +284,26 @@ def heralded_single_photon_probability(mu: float, eta_c: float) -> float:
     return eta_c * mu * math.exp(-mu) / trigger
 
 
+def coherent_fire_probabilities(mu: float, eta: float, e_d: float) -> tuple[float, float, float]:
+    """Chances ``(p_c, p_w, p_h)`` that each of Bob's detectors fires on a coherent pulse.
+
+    Of the Poisson(lam) photons that reach Bob, lam = eta*mu, the ones routed
+    to the correct and to the wrong detector are independent Poisson
+    variables (Poisson splitting), so the two threshold detectors fire
+    independently:
+
+        p_c = 1 - exp(-lam*(1 - e_d))   correct detector, matched bases,
+        p_w = 1 - exp(-lam*e_d)         wrong detector, matched bases,
+        p_h = 1 - exp(-lam/2)           either detector, mismatched bases.
+
+    A matched pulse single-clicks with p_c*(1 - p_w) + p_w*(1 - p_c), with
+    E_s = p_w*(1 - p_c) over that; ``coherent_stats`` neglects the double
+    clicks p_c*p_w. The inputs are not checked.
+    """
+    lam = eta * mu
+    return -math.expm1(-lam * (1.0 - e_d)), -math.expm1(-lam * e_d), -math.expm1(-lam / 2.0)
+
+
 def coherent_stats(
     params: SystemParams,
 ) -> tuple[DetectionStats, float, float, float]:

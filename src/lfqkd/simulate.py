@@ -24,6 +24,29 @@ uses a dedicated generator seeded from child i of
 merge by addition, so the result does not depend on how shard execution is
 scheduled.
 
+Each shard of n pulses makes two draws, in this order:
+
+1. ``rng.bytes(n)``: one fair byte per pulse. Bit 0 is Alice's bit, bit 1
+   Alice's basis, bit 2 Bob's basis and bit 3 the bit assigned to a
+   no-click or double click. Bits 4-6 are the scenario's own fair bits:
+   the single-click bit of a basis-mismatched pulse (honest single-photon
+   and memory channels, and bit 4 of the time-shift attack, whose bit 5
+   picks the active detector), or Eve's basis (4), Eve's bit for a
+   mismatched guess (5) and the single-click bit of a basis Bob and Eve do
+   not share (6) for the strong pulse. Bit 7 is unused.
+2. Uniforms in [0, 1): ``rng.random((2, n))`` for the coherent channel,
+   one row per detector (the detector of Alice's bit first), and
+   ``rng.random(n)`` otherwise.
+
+Every pulse rule is int8 and float64 arithmetic on those arrays. The
+coherent channel uses the per-detector fire probabilities of
+``rates.coherent_fire_probabilities``: the two detectors fire independently,
+each when its uniform falls below its threshold. A single-photon or memory
+pulse clicks when its uniform u < eta (eta_m) and is flipped when
+u < eta*e_d, so a click is flipped with probability e_d; under the
+time-shift attack the transmittance is 1 and a pulse is flipped when
+u < e_d. The strong pulse reaches one detector only when u < 2**(1 - n).
+
 Two adversaries are modeled. The extreme time-shift attack makes one
 uniformly chosen detector fully active and the other inactive (Bob-side
 transmittance 1 for the active one, 0 for the other; the channel is treated
@@ -48,6 +71,7 @@ from .rates import (
     DetectionStats,
     SinglePhoton,
     SourceModel,
+    coherent_fire_probabilities,
     coherent_memory_stats,
     coherent_stats,
     key_rate,
@@ -71,9 +95,8 @@ class ClickKind(IntEnum):
     DOUBLE = 2
 
 
-#: int8 ``ClickKind`` codes. Kind arrays are built by arithmetic on them,
-#: ``_DOUBLE - single`` for a pulse that clicked, because ``np.where`` on a
-#: random mask costs far more per pulse.
+#: int8 ``ClickKind`` codes. Kind arrays are built and compared against
+#: these: a compare with an ``IntEnum`` member costs about ten times as much.
 _SINGLE, _DOUBLE = np.int8(ClickKind.SINGLE), np.int8(ClickKind.DOUBLE)
 
 #: Fields of a ``trial_records`` row.
@@ -156,55 +179,61 @@ def _scenario_tag(adversary: AdversaryStrategy) -> str:
     return adversary.tag
 
 
-def _honest_hits(model, alice_bits, matched, n, rng):
+def _bit(fair, k):
+    """Bit ``k`` of each pulse's fair byte, as an int8 0/1 array."""
+    return (fair >> k) & 1
+
+
+def _select(mask, a, b):
+    """``a`` where the int8 0/1 ``mask`` is 1, else ``b``.
+
+    The arithmetic form of ``np.where``, which on a random mask costs about
+    30 times as much per pulse.
+    """
+    return b ^ ((a ^ b) & mask)
+
+
+def _fire(rng, u, matched, p, p_h):
+    """Int8 fire flags of one detector: its chance is ``p`` on a matched
+    pulse and ``p_h`` on a mismatched one. Fills ``u`` with fresh uniforms."""
+    rng.random(out=u)
+    return _select(matched, (u < p).view(np.int8), (u < p_h).view(np.int8))
+
+
+def _honest_hits(model, fair, alice_bits, matched, n, rng):
     """Click kinds and single-click bits for the honest channel of ``model``."""
     if isinstance(model, CoherentDecoy):
-        # Poisson thinning: photons surviving loss are Poisson(eta*mu).
-        detected = rng.poisson(model.eta * model.mu, size=n)
-        u = rng.random(n)
-        mm_bits = rng.integers(0, 2, size=n, dtype=np.int8)
-        # Matched bases: every survivor routes to the correct detector with
-        # probability 1-e_d, independently; a single click needs them all on
-        # one side. Mismatched bases: every survivor routes uniformly.
-        p_all_correct = np.power(1.0 - model.e_d, detected)
-        p_all_wrong = np.power(model.e_d, detected)
-        m_single_correct = u < p_all_correct
-        m_single = u < p_all_correct + p_all_wrong
-        m_bits = np.where(m_single_correct, alice_bits, alice_bits ^ 1)
-        with np.errstate(over="ignore"):
-            p_one_side = np.power(2.0, 1.0 - detected.astype(np.float64))
-        one_side = np.where(matched, m_single, u < p_one_side)
-        kind = (detected > 0) * (_DOUBLE - one_side)
-        return kind, np.where(matched, m_bits, mm_bits)
-    if isinstance(model, SinglePhoton):
-        clicked = rng.random(n) < model.eta
-    else:  # CoherentDecoyMemory: trials are conditioned on the trigger.
-        clicked = rng.random(n) < model.eta_m
-    flips = rng.random(n) < model.e_d
-    mm_bits = rng.integers(0, 2, size=n, dtype=np.int8)
-    dest = np.where(matched, alice_bits ^ flips, mm_bits)
-    return clicked.astype(np.int8), dest
-
-
-def _time_shift_hits(model, alice_bits, matched, n, rng):
-    # Channel transmittance forced to 1: all loss in the batch is Eve's.
-    flips = rng.random(n) < model.e_d
-    mm_bits = rng.integers(0, 2, size=n, dtype=np.int8)
-    dest = np.where(matched, alice_bits ^ flips, mm_bits)
-    active = rng.integers(0, 2, size=n, dtype=np.int8)
-    return (dest == active).astype(np.int8), dest
-
-
-def _strong_pulse_hits(adversary, alice_bits, alice_bases, bob_bases, n, rng):
-    eve_bases = rng.integers(0, 2, size=n, dtype=np.int8)
-    eve_rand = rng.integers(0, 2, size=n, dtype=np.int8)
-    eve_bits = np.where(eve_bases == alice_bases, alice_bits, eve_rand)
-    same_basis = bob_bases == eve_bases
+        # Poisson splitting: the detector of Alice's bit and the other one
+        # fire independently. Their uniforms are the two rows of
+        # rng.random((2, n)), drawn a row at a time into one buffer: a
+        # (2, n) draw against (2, n) thresholds made a batch twice as slow.
+        p_c, p_w, p_h = coherent_fire_probabilities(model.mu, model.eta, model.e_d)
+        u = np.empty(n)
+        correct = _fire(rng, u, matched, p_c, p_h)
+        wrong = _fire(rng, u, matched, p_w, p_h)
+        return correct + wrong, alice_bits ^ wrong
+    # CoherentDecoyMemory: trials are conditioned on the trigger.
+    eta = model.eta if isinstance(model, SinglePhoton) else model.eta_m
     u = rng.random(n)
-    conj_bits = rng.integers(0, 2, size=n, dtype=np.int8)
-    one_side = u < 2.0 ** (1 - adversary.n_photons)
-    kind = _DOUBLE - (same_basis | one_side)
-    return kind, np.where(same_basis, eve_bits, conj_bits)
+    clicked = (u < eta).view(np.int8)
+    flips = (u < eta * model.e_d).view(np.int8)
+    return clicked, _select(matched, alice_bits ^ flips, _bit(fair, 4))
+
+
+def _time_shift_hits(model, fair, alice_bits, matched, n, rng):
+    # Channel transmittance forced to 1: all loss in the batch is Eve's.
+    flips = (rng.random(n) < model.e_d).view(np.int8)
+    dest = _select(matched, alice_bits ^ flips, _bit(fair, 4))
+    # A single click exactly when the active detector is the destination's.
+    return 1 ^ dest ^ _bit(fair, 5), dest
+
+
+def _strong_pulse_hits(adversary, fair, alice_bits, alice_bases, bob_bases, n, rng):
+    eve_bases, eve_rand, conj_bits = _bit(fair, 4), _bit(fair, 5), _bit(fair, 6)
+    eve_bits = _select(1 ^ eve_bases ^ alice_bases, alice_bits, eve_rand)
+    same_basis = 1 ^ bob_bases ^ eve_bases
+    one_side = (rng.random(n) < 2.0 ** (1 - adversary.n_photons)).view(np.int8)
+    return _DOUBLE - (same_basis | one_side), _select(same_basis, eve_bits, conj_bits)
 
 
 def _simulate_shard(model, adversary, n, rng):
@@ -213,28 +242,27 @@ def _simulate_shard(model, adversary, n, rng):
     Each channel returns the pulse's int8 ``ClickKind`` code and the bit a
     single click carries; that bit is ignored for the other kinds.
     """
-    alice_bits = rng.integers(0, 2, size=n, dtype=np.int8)
-    alice_bases = rng.integers(0, 2, size=n, dtype=np.int8)
-    bob_bases = rng.integers(0, 2, size=n, dtype=np.int8)
-    matched = alice_bases == bob_bases
+    fair = np.frombuffer(rng.bytes(n), dtype=np.int8)
+    alice_bits, alice_bases, bob_bases = _bit(fair, 0), _bit(fair, 1), _bit(fair, 2)
+    matched = 1 ^ alice_bases ^ bob_bases
 
     if adversary is None:
-        kind, bit = _honest_hits(model, alice_bits, matched, n, rng)
+        kind, bit = _honest_hits(model, fair, alice_bits, matched, n, rng)
     elif isinstance(adversary, ExtremeTimeShift):
-        kind, bit = _time_shift_hits(model, alice_bits, matched, n, rng)
+        kind, bit = _time_shift_hits(model, fair, alice_bits, matched, n, rng)
     elif isinstance(adversary, StrongPulse):
-        kind, bit = _strong_pulse_hits(adversary, alice_bits, alice_bases, bob_bases, n, rng)
+        kind, bit = _strong_pulse_hits(adversary, fair, alice_bits, alice_bases, bob_bases, n, rng)
     else:
         raise TypeError(f"unknown adversary strategy: {adversary!r}")
 
-    assign_bits = rng.integers(0, 2, size=n, dtype=np.int8)
+    single = (kind == _SINGLE).view(np.int8)
     return {
         "alice_bit": alice_bits,
         "alice_basis": alice_bases,
         "bob_basis": bob_bases,
         "kind": kind,
-        "assigned_bit": np.where(kind == _SINGLE, bit, assign_bits),
-        "matched": matched,
+        "assigned_bit": _select(single, bit, _bit(fair, 3)),
+        "matched": matched.view(bool),
     }
 
 
@@ -274,7 +302,7 @@ def run_trials(
         matched = a["matched"]
         matched_err = matched & (a["assigned_bit"] != a["alice_bit"])
         for k in ClickKind:
-            is_k = a["kind"] == k
+            is_k = a["kind"] == np.int8(k)
             n_kind[k] += int(np.count_nonzero(is_k & matched))
             n_err[k] += int(np.count_nonzero(is_k & matched_err))
 

@@ -50,6 +50,11 @@ E_D_MAX = 0.5
 
 CSV_HEADER = "model,eta,e_d_max"
 
+#: Most points a grid may have: a step whose grid would reach this many is
+#: rejected. A sweep costs about 4 us and 200 bytes per point, so one curve
+#: stays within seconds and a few hundred MB.
+MAX_GRID_POINTS = 10**6
+
 
 class EmptyCurveError(ValueError):
     """Raised when no grid point admits a tolerable error probability."""
@@ -71,6 +76,13 @@ class GridSpec:
             )
         if not 0.0 < self.step < math.inf:
             raise ValueError(f"step must be positive and finite, got {self.step}")
+        # Fewer than MAX_GRID_POINTS - 1 steps: values() then gives at most
+        # MAX_GRID_POINTS points, the endpoint included.
+        if not (self.eta_max - self.eta_min) / self.step < MAX_GRID_POINTS - 1:
+            raise ValueError(
+                f"step {self.step} is too small: the grid on "
+                f"[{self.eta_min}, {self.eta_max}] would reach {MAX_GRID_POINTS} points"
+            )
 
     def values(self) -> list[float]:
         n_steps = int(round((self.eta_max - self.eta_min) / self.step))

@@ -163,11 +163,21 @@ def test_attack_nullification():
         "extreme time-shift: E_s equals its exact value 0",
         ts_stats.e_s == 0.0,
     )
-    ts_rate = key_rate_single_click(ts_stats).rate
+    ts_exact_rate = key_rate_single_click(DetectionStats(q_s=0.5, e_s=0.0)).rate
     check(
-        "extreme time-shift: empirical single-click rate <= 0",
-        ts_rate <= 0.0,
-        f"rate = {ts_rate:.3e}",
+        "extreme time-shift: single-click rate at the exact (Q_s, E_s) = (1/2, 0) <= 0",
+        ts_exact_rate <= 0.0,
+        f"rate = {ts_exact_rate:.3e}",
+    )
+    # A finite batch leaves Q_s above 1/2, and its rate a hair above 0, in
+    # about half of all seeds; the rate grows with Q_s.
+    ts_rate = key_rate_single_click(ts_stats).rate
+    ts_bound = key_rate_single_click(DetectionStats(q_s=0.5 + 3 * sigma_q, e_s=0.0)).rate
+    check(
+        "extreme time-shift: empirical single-click rate <= its value at "
+        "Q_s = 1/2 + 3 sigma, E_s = 0",
+        ts_rate <= ts_bound,
+        f"rate = {ts_rate:.3e}, bound = {ts_bound:.3e}",
     )
     check(
         "extreme time-shift scenario runs in < 30 s", ts_elapsed < 30.0,
@@ -193,11 +203,19 @@ def test_attack_nullification():
         abs(sp_stats.e_s - e_exact) <= 3 * sigma_e,
         f"E_s = {sp_stats.e_s:.3e}, exact = {e_exact:.3e}",
     )
-    sp_rate = key_rate_single_click(sp_stats).rate
+    sp_exact_rate = key_rate_single_click(DetectionStats(q_s=q_exact, e_s=e_exact)).rate
     check(
-        "strong pulse: empirical single-click rate <= 0",
-        sp_rate <= 0.0,
-        f"rate = {sp_rate:.3e}",
+        "strong pulse: single-click rate at the exact (Q_s, E_s) <= 0",
+        sp_exact_rate <= 0.0,
+        f"rate = {sp_exact_rate:.3e}",
+    )
+    sp_rate = key_rate_single_click(sp_stats).rate
+    sp_bound = key_rate_single_click(DetectionStats(q_s=q_exact + 3 * sigma_q, e_s=e_exact)).rate
+    check(
+        "strong pulse: empirical single-click rate <= its value at "
+        "Q_s = exact + 3 sigma, E_s exact",
+        sp_rate <= sp_bound,
+        f"rate = {sp_rate:.3e}, bound = {sp_bound:.3e}",
     )
     check(
         "strong-pulse scenario runs in < 30 s", sp_elapsed < 30.0,

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 
@@ -17,8 +18,14 @@ from lfqkd.cli import (
     SOURCE_MODELS,
     main,
 )
-from lfqkd.rates import CoherentDecoyMemory, SinglePhoton, key_rate
-from lfqkd.simulate import run_trials
+from lfqkd.rates import (
+    CoherentDecoyMemory,
+    DetectionStats,
+    SinglePhoton,
+    key_rate,
+    key_rate_single_click,
+)
+from lfqkd.simulate import run_trials, trial_records
 from lfqkd.threshold import MODEL_FAMILIES
 
 P1_MEMORY = 0.6080482499669296
@@ -56,29 +63,50 @@ SCENARIO_FLAGS = {
 # seed, and of compare stdout at --n-pulses 16384, by honest model and seed.
 # They pin the RNG stream: a change that announces a new stream updates them.
 SIMULATE_SHA256 = {
-    ("coherent", "1"): "0131deb94a4ea717c8465613332017a423ad7d6fa86e91a223f155126a545ee9",
-    ("coherent", "2"): "c3892af0f069fcf7f4e93dde2b06b5605f45bf38644ada929b8c035189a9fb61",
-    ("coherent-memory", "1"): "ee0ba0c6750b08e4659913573163d8d99604c2711745768ba9e174d1a9da60c8",
-    ("coherent-memory", "2"): "00965d8f0a0a916f3fa45b6fc7c3b820d59ccbbb2ddbeb6d312fac4499919eae",
-    ("single-photon", "1"): "18c9f6cb0cd67cf310a4393eeb0b610acc1627a67a95952c89f70728cba59574",
-    ("single-photon", "2"): "7a5544ab5ac4547c3350e975ce7d6e5096c88a43601ce8dcd3aaa62154d8df98",
-    ("strong-pulse", "1"): "75dfdcd76ca6df7588cd8071ab6b742543398bbb09634e648ab5971f706bcacb",
-    ("strong-pulse", "2"): "c8b80e803a640a8c35b37d3ac7c8474afd86558878c18bea0c9f0498bde5f602",
-    ("time-shift", "1"): "622a59b7d2f46432e565c36749604f1b19700bb3f92cfaed0cbd6a17ec1e28c8",
-    ("time-shift", "2"): "3216a05f605269498fc5495901bbfd8f473581fbdf7a832b143beb75de0b9dc5",
+    ("coherent", "1"): "32224b4fa59fd2598d9114fb2d1543efd7bfa57a652defb37ac8d4867982d014",
+    ("coherent", "2"): "d42d070557578288658ad875cfe884eb286c46e9c44266371aee7940029fc912",
+    ("coherent-memory", "1"): "8508ada00d2f532e0418b836c42888caedf05fb805a25ae1994cbb37e68d9180",
+    ("coherent-memory", "2"): "7cdbb0775d18281300a0d2e9939e4f00bf2fe02b232b945bc1b445796cce2174",
+    ("single-photon", "1"): "b19df70812bf1765b50030a26121888f3f3c0639ad24151895e12d70fd04286c",
+    ("single-photon", "2"): "5302ce79d944be7db342516303f2854348a3771a9a7fcb04aa0f93250764b5f2",
+    ("strong-pulse", "1"): "06717850a86ca357ad7abee93b8207dc2041076ac45d8a1e0ab98403cad129d1",
+    ("strong-pulse", "2"): "1807ed91f305ab667ca0e5ef08b95524e5bb7b8b87377e04b5396fce6980f2ac",
+    ("time-shift", "1"): "420807312081d869bfe0bba5c78acc8d386c9e3abf5439da16d3e78a1e6fc660",
+    ("time-shift", "2"): "1c2aa62b14033fb6e7365fe008e1330ea4a864f150c5de04ff838cec9f727cce",
 }
 COMPARE_SHA256 = {
-    ("coherent", "1"): "9b41c2013d81c1de313ef2ab57df4ed690ca7c8cda28bf2f8ecb64b847093173",
-    ("coherent", "2"): "99378a405806b99f462b666891c0a6f618ff5dca0269b80ed568220d2e355ce0",
-    ("coherent-memory", "1"): "ebe74819f9f00ad83222c794669506cfd24567f536be6fb331fb6f1e2accd650",
-    ("coherent-memory", "2"): "4e249da41a4443caf09099cf8a09331cafa9109ac8b3e45f50bfb77c19dcfec1",
-    ("single-photon", "1"): "3450f97c994c5db4a65998c879f8cdf74ea85f018fe2251086d825ccc57f9de9",
-    ("single-photon", "2"): "3e51f33848681030e7eb8f1412b04870d356b0703194d9ce6a1c7f5b71e20f0b",
+    ("coherent", "1"): "70d8d710518704d88258f547a65751e7428165f5886de61b3814e5643e0dd5cb",
+    ("coherent", "2"): "07fa0039457481664e8c5146b6e9f70983acf04a1f2cdfefa245f8c310879f71",
+    ("coherent-memory", "1"): "3fc31bb3bb9ac899fd1fb6226aa2cb14e24e67f63b6c44b8bd7f878570ae93c0",
+    ("coherent-memory", "2"): "67dcd135f9e2ee20fc2840670b1d0fb69ebfbe71c853d0ee78bbfef52987b638",
+    ("single-photon", "1"): "bb8f71b0abb282fe78935c842b7d7d7c7f204d470f931ed145c3bd5deec20ad6",
+    ("single-photon", "2"): "50ff98ecd6bfea6eaf6555ce6187292e54cf2b2bf942ba5255374f524824d267",
 }
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def zero_sifted_seed(nth):
+    """The ``nth`` seed, counting from 1, whose one-pulse batch is
+    basis-mismatched, so that the batch has no sifted pulse."""
+
+    def mismatched(seed):
+        pulse = trial_records(SinglePhoton(eta=1.0, e_d=0.0), n_pulses=1, seed=seed)[0]
+        return pulse["alice_basis"] != pulse["bob_basis"]
+
+    return str(next(itertools.islice(filter(mismatched, itertools.count()), nth - 1, None)))
+
+
+def check_nullified(payload, q_exact, e_exact):
+    """The attack's rate is <= 0 at its closed-form (Q_s, E_s), and the
+    batch's rate is at most the rate at Q_s = q_exact + 3 sigma: a finite
+    batch leaves Q_s above q_exact, and its rate a hair above 0, about half
+    the time."""
+    assert key_rate_single_click(DetectionStats(q_s=q_exact, e_s=e_exact)).rate <= 0.0
+    q_s = q_exact + 3.0 * math.sqrt(q_exact * (1.0 - q_exact) / payload["n_pulses"])
+    assert payload["rate"] <= key_rate_single_click(DetectionStats(q_s=q_s, e_s=e_exact)).rate
 
 
 class TestRateCommand:
@@ -219,6 +247,12 @@ class TestThresholdCommand:
         assert run_cli("threshold", "--model", "coherent", "--step", step) == EXIT_INVALID_CONFIG
         assert f"step must be positive and finite, got {step}" in capsys.readouterr().err
 
+    def test_step_beyond_grid_cap_exits_2(self, capsys):
+        assert run_cli("threshold", "--model", "coherent", "--step", "1e-7") == EXIT_INVALID_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "step 1e-07 is too small" in err
+
     def test_inf_tol_exits_2(self, capsys):
         # An infinite tol would stop every bracket at its first midpoint.
         assert run_cli(
@@ -275,7 +309,7 @@ class TestSimulateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["scenario"] == "time_shift"
         assert abs(payload["q_s"] - 0.5) < 0.01
-        assert payload["rate"] <= 0.0
+        check_nullified(payload, 0.5, 0.0)
 
     def test_strong_pulse_adversary(self, capsys):
         assert run_cli(
@@ -285,7 +319,8 @@ class TestSimulateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["scenario"] == "strong_pulse"
         assert abs(payload["q_s"] - 0.5) < 0.01
-        assert payload["rate"] <= 0.0
+        q_exact = 0.5 + 2.0**-20
+        check_nullified(payload, q_exact, 2.0**-21 / q_exact)
 
     def test_degenerate_simulation_exit_code(self, capsys):
         assert run_cli(
@@ -295,12 +330,11 @@ class TestSimulateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_single"] == 0
 
-    @pytest.mark.parametrize("seed", ["1", "2"])
-    def test_zero_sifted_batch_is_degenerate(self, capsys, seed):
-        # The one generated pulse is basis-mismatched for these seeds.
+    @pytest.mark.parametrize("nth", [1, 2])
+    def test_zero_sifted_batch_is_degenerate(self, capsys, nth):
         assert run_cli(
             "simulate", "--model", "single-photon", "--eta", "1",
-            "--n-pulses", "1", "--seed", seed,
+            "--n-pulses", "1", "--seed", zero_sifted_seed(nth),
         ) == EXIT_DEGENERATE
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_pulses"] == 0
@@ -363,11 +397,11 @@ class TestCompareCommand:
         assert payload["q_s_offset_budget"] > 0.0
         assert payload["passed"] is True
 
-    @pytest.mark.parametrize("seed", ["1", "2"])
-    def test_zero_sifted_batch_fails(self, capsys, seed):
+    @pytest.mark.parametrize("nth", [1, 2])
+    def test_zero_sifted_batch_fails(self, capsys, nth):
         assert run_cli(
             "compare", "--model", "single-photon", "--eta", "1",
-            "--n-pulses", "1", "--seed", seed,
+            "--n-pulses", "1", "--seed", zero_sifted_seed(nth),
         ) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_pulses"] == 0
@@ -497,9 +531,6 @@ ANY_FLOAT = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, 1.5, -1.0]),
     st.floats(),
 )
-# Positive steps below 1e-3 are left out: GridSpec.values() builds a list of
-# (eta_max - eta_min)/step floats, which grows without bound.
-STEP = st.one_of(st.floats(min_value=1e-3), st.floats(max_value=0.0), st.just(math.nan))
 
 
 @st.composite
@@ -539,7 +570,7 @@ class TestExitCodeProperties:
     @given(
         model=st.sampled_from(MODEL_FAMILIES),
         flags=flag_values({
-            "--eta-min": ANY_FLOAT, "--eta-max": ANY_FLOAT, "--step": STEP,
+            "--eta-min": ANY_FLOAT, "--eta-max": ANY_FLOAT, "--step": ANY_FLOAT,
             "--tol": ANY_FLOAT, "--mu": ANY_FLOAT, "--eta-c": ANY_FLOAT,
         }),
     )

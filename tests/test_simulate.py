@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from lfqkd.rates import (
     CoherentDecoy,
     CoherentDecoyMemory,
+    DetectionStats,
     SinglePhoton,
+    coherent_fire_probabilities,
     key_rate,
     key_rate_single_click,
     qber,
@@ -60,8 +62,40 @@ def poisson_click_classes(lam, e_d, k_max=80):
     return p_none, p_single, p_double, e_s
 
 
+def mismatched_click_classes(lam):
+    """Click-class probabilities of a basis-mismatched coherent pulse: each
+    detector fires independently, with probability 1 - exp(-lam/2)."""
+    q = math.exp(-lam / 2.0)
+    return q * q, 2.0 * q * (1.0 - q), (1.0 - q) ** 2
+
+
+def within_5sigma(observed, p, n):
+    """|observed - p| within 5 binomial sigma, the variance floored at one
+    count's: for a tiny p a count of 1 or 2 is far outside the normal tail."""
+    return abs(observed - p) <= 5.0 * math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
+
+
 def binomial_3sigma(p, n):
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+#: Closed-form (Q_s, E_s) of the two attacks on a lossless, errorless line:
+#: the strong pulse's 20-photon replacement reaches one detector with
+#: probability 2**-19 on a conjugate basis, half the time the wrong one.
+TIME_SHIFT_EXACT = (0.5, 0.0)
+STRONG_PULSE_EXACT = (0.5 + 2.0**-20, 2.0**-21 / (0.5 + 2.0**-20))
+
+
+def nullified_rate_bound(q_exact, e_exact, n):
+    """Single-click rate at Q_s = q_exact + 3 sigma, with E_s at ``e_exact``.
+
+    A nullifying attack's rate is <= 0 at its closed-form (Q_s, E_s), but a
+    finite batch leaves Q_s above it about half the time, and there the
+    empirical rate is a hair above 0. The rate grows with Q_s, so a batch
+    whose Q_s is within 3 sigma, as the tests check, stays at or below this.
+    """
+    q_s = q_exact + binomial_3sigma(q_exact, n)
+    return key_rate_single_click(DetectionStats(q_s=q_s, e_s=e_exact)).rate
 
 
 class TestDeterminism:
@@ -131,6 +165,36 @@ class TestHonestChannels:
         assert abs(batch.n_double / n - p_double) <= binomial_3sigma(p_double, n)
         assert abs(stats.e_s - e_s) <= binomial_3sigma(e_s, batch.n_single)
 
+    def test_fire_probabilities_match_poisson_enumeration(self):
+        p_c, p_w, p_h = coherent_fire_probabilities(mu=0.5, eta=0.8, e_d=0.02)
+        p_single = p_c * (1.0 - p_w) + p_w * (1.0 - p_c)
+        assert p_single == pytest.approx(0.3270959367264081, abs=1e-12)
+        assert p_w * (1.0 - p_c) / p_single == pytest.approx(0.0164602103556246, abs=1e-12)
+        assert p_h == -math.expm1(-0.2)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        mu=st.floats(0.01, 5.0),
+        eta=st.floats(0.01, 1.0),
+        e_d=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_coherent_click_classes_by_basis(self, mu, eta, e_d, seed):
+        records = trial_records(CoherentDecoy(mu=mu, eta=eta, e_d=e_d), None, 1 << 16, seed=seed)
+        is_matched = records["alice_basis"] == records["bob_basis"]
+        p_none, p_single, p_double, e_s = poisson_click_classes(eta * mu, e_d)
+        for rows, expected in (
+            (records[is_matched], (p_none, p_single, p_double)),
+            (records[~is_matched], mismatched_click_classes(eta * mu)),
+        ):
+            counts = np.bincount(rows["kind"], minlength=len(ClickKind))
+            for count, p in zip(counts, expected):
+                assert within_5sigma(count / len(rows), p, len(rows))
+        singles = records[is_matched & (records["kind"] == ClickKind.SINGLE)]
+        if len(singles):
+            errors = np.count_nonzero(singles["assigned_bit"] != singles["alice_bit"])
+            assert within_5sigma(errors / len(singles), e_s, len(singles))
+
     def test_memory_matches_readout_probability(self):
         batch = run_trials(MEM_MODEL, None, 1_000_000, seed=23)
         stats = empirical_stats(batch)
@@ -159,7 +223,9 @@ class TestAttacks:
         stats = empirical_stats(batch)
         assert abs(stats.q_s - 0.5) <= binomial_3sigma(0.5, batch.n_pulses)
         assert stats.e_s == 0.0
-        assert key_rate_single_click(stats).rate <= 0.0
+        assert key_rate_single_click(DetectionStats(*TIME_SHIFT_EXACT)).rate <= 0.0
+        rate = key_rate_single_click(stats).rate
+        assert rate <= nullified_rate_bound(*TIME_SHIFT_EXACT, batch.n_pulses)
         assert batch.n_double == 0
 
     def test_time_shift_loss_is_eves_even_for_lossy_channel(self):
@@ -169,24 +235,25 @@ class TestAttacks:
         assert abs(stats.q_s - 0.5) <= binomial_3sigma(0.5, batch.n_pulses)
 
     def test_strong_pulse_statistics(self):
-        n_photons = 20
-        q_exact = 0.5 + 2.0**-n_photons
-        e_exact = 2.0 ** -(n_photons + 1) / q_exact
-        batch = run_trials(
-            SinglePhoton(eta=1.0, e_d=0.0), StrongPulse(n_photons), 1_000_000, seed=6
-        )
+        q_exact, e_exact = STRONG_PULSE_EXACT
+        batch = run_trials(SinglePhoton(eta=1.0, e_d=0.0), StrongPulse(20), 1_000_000, seed=6)
         stats = empirical_stats(batch)
         assert abs(stats.q_s - q_exact) <= binomial_3sigma(q_exact, batch.n_pulses)
         assert abs(stats.e_s - e_exact) <= binomial_3sigma(e_exact, batch.n_single)
-        assert key_rate_single_click(stats).rate <= 0.0
+        assert key_rate_single_click(DetectionStats(q_exact, e_exact)).rate <= 0.0
+        rate = key_rate_single_click(stats).rate
+        assert rate <= nullified_rate_bound(q_exact, e_exact, batch.n_pulses)
         assert batch.n_none == 0
 
     @pytest.mark.parametrize("n_pulses", [100_000, 200_000])
     def test_attacks_nullify_rate_from_1e5_pulses(self, n_pulses):
-        for adversary in (ExtremeTimeShift(), StrongPulse(20)):
+        for adversary, exact in (
+            (ExtremeTimeShift(), TIME_SHIFT_EXACT), (StrongPulse(20), STRONG_PULSE_EXACT),
+        ):
             batch = run_trials(SinglePhoton(eta=1.0, e_d=0.0), adversary, n_pulses, seed=6)
+            assert key_rate_single_click(DetectionStats(*exact)).rate <= 0.0
             rate = key_rate_single_click(empirical_stats(batch)).rate
-            assert rate <= 0.0
+            assert rate <= nullified_rate_bound(*exact, batch.n_pulses)
 
 
 class TestScalarAttackOps:

@@ -7,6 +7,7 @@ from lfqkd.threshold import (
     CSV_HEADER,
     EmptyCurveError,
     GridSpec,
+    MAX_GRID_POINTS,
     MODEL_FAMILIES,
     ThresholdPoint,
     curve_to_csv,
@@ -200,6 +201,16 @@ class TestGridSpec:
             GridSpec(eta_min=0.5, eta_max=1.1)
         with pytest.raises(ValueError):
             GridSpec(step=0.0)
+
+    @pytest.mark.parametrize("steps", [MAX_GRID_POINTS - 1.6, MAX_GRID_POINTS - 1.4])
+    def test_largest_grids_stay_within_the_cap(self, steps):
+        # Rounding the step count up or down, with the endpoint appended.
+        assert len(GridSpec(eta_min=0.5, eta_max=1.0, step=0.5 / steps).values()) == MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("step", [0.5 / (MAX_GRID_POINTS - 1), 1e-7, 5e-324])
+    def test_grid_beyond_the_cap_names_step(self, step):
+        with pytest.raises(ValueError, match=f"step {step} is too small"):
+            GridSpec(eta_min=0.5, eta_max=1.0, step=step)
 
 
 class TestCsv:
