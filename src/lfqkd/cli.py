@@ -136,6 +136,9 @@ def _apply_config(subparser: argparse.ArgumentParser, path: str) -> None:
             )
         if action.choices is not None and value not in action.choices:
             raise ConfigError(f"config key {key!r} must be one of {action.choices}, got {value!r}")
+        if flag_type is float and isinstance(value, int):
+            # As the flag reads its digits: 1 is 1.0 and 10**400 is inf.
+            config[key] = float(str(value))
     subparser.set_defaults(**config)
 
 

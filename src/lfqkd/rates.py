@@ -22,21 +22,26 @@ for a basis-independent source. For a weak coherent source with decoy-state
 estimation the single-photon fraction pays the privacy-amplification cost:
 
     R = -Q_s * H2(E_s) + P1 * Y1 * (1 - H2(delta_1 / Y1)),
+    delta_1 = E_s * Y1 + e_0 * (1 - Y1),
 
-with (Q_s, P1, Y1, delta_1) given by the channel model, optionally
-conditioned on a quantum-memory trigger. Entropy arguments of the form
-delta/Q_s or delta_1/Y1 are clamped at 1/2 before H2 (beyond that point the
+with (Q_s, P1, Y1) given by the channel model, optionally conditioned on a
+quantum-memory trigger, and E_s = e_d. The single-click rate is the case
+P1 = 1, Y1 = Q_s, so the package writes the formula once: ``rate_terms``
+evaluates it elementwise on arrays, and ``channel_terms`` gives (Q_s, P1, Y1)
+of each source family over an array of transmittances. ``key_rate``,
+``key_rate_single_click``, the threshold sweep and the Monte Carlo comparison
+all go through these two. Entropy arguments of the form delta/Q_s or
+delta_1/Y1 are clamped at 1/2 before H2 (beyond that point the
 privacy-amplification cost is already total; letting H2 turn over would
 inflate the rate). Rates are returned unfloored so threshold solvers can
-bracket sign changes. ``rate_kernel`` restates both formulas on arrays, as a
-function of e_d, for solving a whole grid of points at once.
+bracket sign changes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -45,19 +50,38 @@ from .numerics import binary_entropy, binary_entropy_array
 #: Error rate e_0 of a uniformly assigned bit, fixed by construction.
 RANDOM_ASSIGNMENT_ERROR_RATE = 0.5
 
+#: Source families of ``channel_terms`` and the threshold curves.
+MODEL_FAMILIES = (
+    "single-photon",
+    "coherent",
+    "coherent-memory",
+    "single-photon-memory",
+)
+
 
 class DegenerateInputError(ValueError):
     """Raised when an input makes a formula vacuous (division by zero)."""
 
 
-def check_probability(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+def check_inputs(**inputs: float | None) -> None:
+    """The one input check of the rate paths, in the order given.
 
-
-def _check_mu(mu: float) -> None:
-    if not 0.0 < mu < math.inf:
-        raise ValueError(f"mu must be positive and finite for a coherent source, got {mu}")
+    ``mu`` must be positive and finite, and every other input a probability
+    in [0, 1]; an input left at None is not used and not checked. Last, an
+    ``eta_c`` of 0 is degenerate: the memory would never trigger.
+    """
+    for name, value in inputs.items():
+        if value is None:
+            continue
+        if name == "mu":
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"mu must be positive and finite for a coherent source, got {value}"
+                )
+        elif not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value}")
+    if inputs.get("eta_c") == 0.0:
+        raise DegenerateInputError("eta_c = 0: the memory never triggers")
 
 
 @dataclass(frozen=True)
@@ -71,27 +95,25 @@ class SystemParams:
     e_d : float
         Intrinsic detection error probability (wrong-detector routing).
     mu : float
-        Mean photon number of the coherent source; unused for single photons.
+        Mean photon number of the coherent source.
     eta_c : float
         Channel transmittance up to the quantum memory (memory model only).
     eta_m : float
         Memory readout probability (memory model only).
 
-    Dark counts are neglected by the closed forms, so there is no dark-count
+    A parameter the source does not use is None and is not checked. Dark
+    counts are neglected by the closed forms, so there is no dark-count
     field.
     """
 
-    eta: float = 0.0
+    eta: float | None = None
     e_d: float = 0.0
-    mu: float = 0.0
-    eta_c: float = 0.0
-    eta_m: float = 0.0
+    mu: float | None = None
+    eta_c: float | None = None
+    eta_m: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("eta", "e_d", "eta_c", "eta_m"):
-            check_probability(name, getattr(self, name))
-        if self.mu < 0.0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
+        check_inputs(mu=self.mu, eta=self.eta, e_d=self.e_d, eta_c=self.eta_c, eta_m=self.eta_m)
 
 
 @dataclass(frozen=True)
@@ -121,7 +143,6 @@ class CoherentDecoy:
     tag: ClassVar[str] = "coherent"
 
     def __post_init__(self) -> None:
-        _check_mu(self.mu)
         self.system_params()
 
     def system_params(self) -> SystemParams:
@@ -144,7 +165,6 @@ class CoherentDecoyMemory:
     tag: ClassVar[str] = "coherent-memory"
 
     def __post_init__(self) -> None:
-        _check_mu(self.mu)
         self.system_params()
 
     def system_params(self) -> SystemParams:
@@ -162,8 +182,7 @@ class DetectionStats:
     e_s: float
 
     def __post_init__(self) -> None:
-        check_probability("q_s", self.q_s)
-        check_probability("e_s", self.e_s)
+        check_inputs(q_s=self.q_s, e_s=self.e_s)
 
 
 @dataclass(frozen=True)
@@ -178,9 +197,9 @@ class KeyRateBreakdown:
     where the signal term is ``q_s`` for the single-click formula and
     ``p_1 * y_1`` for the coherent formula. ``phase_bound`` is the raw
     entropy argument (delta/Q_s or delta_1/Y1) before the 1/2 clamp, kept for
-    diagnostics; it is ``inf`` on the degenerate zero-denominator path. The
-    single-photon fields ``p_1``, ``y_1``, ``delta_1`` are None for the
-    single-click formula.
+    diagnostics; it is ``inf`` where its denominator is 0. The single-photon
+    fields ``p_1``, ``y_1``, ``delta_1`` are None for the single-click
+    formula.
     """
 
     rate: float
@@ -198,6 +217,12 @@ class KeyRateBreakdown:
         return max(self.rate, 0.0)
 
 
+def _mix(e, q):
+    """Error rate of a string whose fraction ``q`` has error rate ``e`` and
+    whose other bits were assigned at random: e*q + e_0*(1 - q)."""
+    return e * q + RANDOM_ASSIGNMENT_ERROR_RATE * (1.0 - q)
+
+
 def qber(stats: DetectionStats) -> float:
     """Overall QBER delta = E_s*Q_s + e_0*(1 - Q_s) with e_0 = 1/2.
 
@@ -205,7 +230,7 @@ def qber(stats: DetectionStats) -> float:
     on no-clicks and double clicks. The result is a convex combination of
     ``e_s`` and ``e_0`` and therefore lies between them.
     """
-    return stats.e_s * stats.q_s + RANDOM_ASSIGNMENT_ERROR_RATE * (1.0 - stats.q_s)
+    return _mix(stats.e_s, stats.q_s)
 
 
 def rate_basis_independent_baseline(delta: float) -> float:
@@ -215,73 +240,8 @@ def rate_basis_independent_baseline(delta: float) -> float:
     privacy-amplification costs coincide. The entropy argument is clamped at
     1/2, so the result floors at -1.
     """
-    check_probability("delta", delta)
+    check_inputs(delta=delta)
     return 1.0 - 2.0 * binary_entropy(min(delta, 0.5))
-
-
-def phase_error_single_bound(delta: float, q_s: float) -> float:
-    """Upper bound min(delta/Q_s, 1/2) on the single-click phase error rate.
-
-    Follows from delta_p = Q_s*E_ps + (1-Q_s)*E_pr with E_pr >= 0. A bound
-    at 1/2 already forces a nonpositive rate, so larger quotients are
-    clamped. Raises DegenerateInputError at Q_s = 0, where the bound is
-    vacuous and the caller must treat the rate as nonpositive.
-    """
-    check_probability("delta", delta)
-    check_probability("q_s", q_s)
-    if q_s == 0.0:
-        raise DegenerateInputError("phase-error bound is vacuous at q_s = 0")
-    return min(delta / q_s, 0.5)
-
-
-def key_rate_single_click(stats: DetectionStats) -> KeyRateBreakdown:
-    """Key rate Q_s * (1 - H2(E_s) - H2(delta/Q_s)) of the single-click string.
-
-    At Q_s = 0 there is no single-click string: the breakdown carries rate 0,
-    an infinite (vacuous) phase bound, and zero cost terms.
-    """
-    delta = qber(stats)
-    if stats.q_s == 0.0:
-        return KeyRateBreakdown(
-            rate=0.0, delta=delta, phase_bound=math.inf, ec_cost=0.0, pa_cost=0.0
-        )
-    raw_bound = delta / stats.q_s
-    ec_cost = stats.q_s * binary_entropy(stats.e_s)
-    pa_cost = stats.q_s * binary_entropy(min(raw_bound, 0.5))
-    return KeyRateBreakdown(
-        rate=stats.q_s - ec_cost - pa_cost,
-        delta=delta,
-        phase_bound=raw_bound,
-        ec_cost=ec_cost,
-        pa_cost=pa_cost,
-    )
-
-
-def single_photon_stats(params: SystemParams) -> DetectionStats:
-    """Channel model for a single-photon source: Q_s = eta, E_s = e_d."""
-    return DetectionStats(q_s=params.eta, e_s=params.e_d)
-
-
-def single_photon_probability(mu: float) -> float:
-    """P1 = mu * exp(-mu): the chance that a coherent pulse holds one photon."""
-    _check_mu(mu)
-    return mu * math.exp(-mu)
-
-
-def heralded_single_photon_probability(mu: float, eta_c: float) -> float:
-    """P1 = eta_c*mu*exp(-mu) / (1 - exp(-eta_c*mu)), given the memory trigger.
-
-    Once ``eta_c * mu`` underflows, the trigger probability rounds to 0 and
-    the limit exp(-mu) is returned instead of a 0/0. Raises
-    DegenerateInputError at eta_c = 0, where the trigger never fires.
-    """
-    _check_mu(mu)
-    if eta_c == 0.0:
-        raise DegenerateInputError("eta_c = 0: the memory never triggers")
-    trigger = -math.expm1(-eta_c * mu)
-    if trigger == 0.0:
-        return math.exp(-mu)
-    return eta_c * mu * math.exp(-mu) / trigger
 
 
 def coherent_fire_probabilities(mu: float, eta: float, e_d: float) -> tuple[float, float, float]:
@@ -297,131 +257,109 @@ def coherent_fire_probabilities(mu: float, eta: float, e_d: float) -> tuple[floa
         p_h = 1 - exp(-lam/2)           either detector, mismatched bases.
 
     A matched pulse single-clicks with p_c*(1 - p_w) + p_w*(1 - p_c), with
-    E_s = p_w*(1 - p_c) over that; ``coherent_stats`` neglects the double
+    E_s = p_w*(1 - p_c) over that; ``channel_terms`` neglects the double
     clicks p_c*p_w. The inputs are not checked.
     """
     lam = eta * mu
     return -math.expm1(-lam * (1.0 - e_d)), -math.expm1(-lam * e_d), -math.expm1(-lam / 2.0)
 
 
-def coherent_stats(
-    params: SystemParams,
-) -> tuple[DetectionStats, float, float, float]:
-    """Channel model for a coherent source without a memory.
+def channel_terms(tag: str, eta: np.ndarray, mu: float = math.nan, eta_c: float = math.nan):
+    """Channel terms ``(Q_s, P1, Y1)`` of source family ``tag`` over an array ``eta``.
 
-    Returns ``(stats, p_1, y_1, delta_1)`` with
+    E_s = e_d for every family, and
 
-        Q_s = 1 - exp(-eta*mu)      (double clicks neglected),
-        E_s = e_d,
-        P1  = mu * exp(-mu)          single-photon emission probability,
-        Y1  = eta                    single-photon single-click yield,
-        delta_1 = e_d*Y1 + e_0*(1 - Y1).
+        single-photon     Q_s = Y1 = eta,           P1 = 1,
+        coherent          Q_s = 1 - exp(-eta*mu),   P1 = mu*exp(-mu),    Y1 = eta,
+        coherent-memory   Q_s = Y1 = eta_m,         P1 = eta_c*mu*exp(-mu) / (1 - exp(-eta_c*mu)),
+
+    neglecting double clicks, where for the memory ``eta`` is the readout
+    probability eta_m and every term is conditional on the trigger.
+    ``single-photon-memory`` is the single-photon source with eta_m in the
+    role of eta. P1 is a float, the other two are arrays like ``eta``. Once
+    ``eta_c * mu`` underflows, the trigger probability rounds to 0 and P1
+    takes its limit exp(-mu). The inputs are not checked.
     """
-    p_1 = single_photon_probability(params.mu)
-    q_s = -math.expm1(-params.eta * params.mu)
-    y_1 = params.eta
-    delta_1 = params.e_d * y_1 + RANDOM_ASSIGNMENT_ERROR_RATE * (1.0 - y_1)
-    return DetectionStats(q_s=q_s, e_s=params.e_d), p_1, y_1, delta_1
+    if tag == "single-photon-memory":
+        tag = "single-photon"
+    if tag == "single-photon":
+        return eta, 1.0, eta
+    if tag == "coherent":
+        return -np.expm1(-eta * mu), mu * math.exp(-mu), eta
+    if tag == "coherent-memory":
+        trigger = -math.expm1(-eta_c * mu)
+        p_1 = eta_c * mu * math.exp(-mu) / trigger if trigger else math.exp(-mu)
+        return eta, p_1, eta
+    raise ValueError(f"unknown model family {tag!r}; expected one of {MODEL_FAMILIES}")
 
 
-def coherent_memory_stats(
-    params: SystemParams,
-) -> tuple[DetectionStats, float, float, float]:
-    """Channel model for a coherent source heralded by a quantum memory.
+def rate_terms(
+    q_s: np.ndarray,
+    e_s: np.ndarray,
+    p_1: float | np.ndarray,
+    y_1: np.ndarray,
+    e_1: np.ndarray | None = None,
+):
+    """The key rate and its terms, elementwise: the one rate formula.
 
-    All quantities are conditional on the memory trigger:
+    Returns ``(rate, ec_cost, pa_cost, phase_bound, delta_1)`` with
 
-        P1  = eta_c * mu * exp(-mu) / (1 - exp(-eta_c*mu)),
-        Q_s = Y1 = eta_m,
-        E_s = e_d,
-        delta_1 = e_d*eta_m + e_0*(1 - eta_m).
+        delta_1     = e_1*Y1 + e_0*(1 - Y1),
+        ec_cost     = Q_s*H2(E_s),
+        phase_bound = delta_1/Y1,
+        pa_cost     = P1*Y1*H2(min(phase_bound, 1/2)),
+        rate        = P1*Y1 - ec_cost - pa_cost,
 
-    Raises DegenerateInputError at eta_c = 0 (the trigger never fires and P1
-    is a 0/0 form).
-    """
-    p_1 = heralded_single_photon_probability(params.mu, params.eta_c)
-    q_s = params.eta_m
-    y_1 = params.eta_m
-    delta_1 = params.e_d * y_1 + RANDOM_ASSIGNMENT_ERROR_RATE * (1.0 - y_1)
-    return DetectionStats(q_s=q_s, e_s=params.e_d), p_1, y_1, delta_1
-
-
-def key_rate_coherent(
-    stats: DetectionStats, p_1: float, y_1: float, delta_1: float
-) -> KeyRateBreakdown:
-    """Key rate -Q_s*H2(E_s) + P1*Y1*(1 - H2(delta_1/Y1)) for coherent models.
-
-    ``ec_cost = Q_s*H2(E_s)`` is paid on the whole single-click string while
-    only the single-photon fraction ``P1*Y1`` generates key. At Y1 = 0 the
-    generating term vanishes and the rate degenerates to ``-ec_cost``.
-    """
-    check_probability("p_1", p_1)
-    check_probability("y_1", y_1)
-    check_probability("delta_1", delta_1)
-    delta = qber(stats)
-    ec_cost = stats.q_s * binary_entropy(stats.e_s)
-    if y_1 == 0.0:
-        return KeyRateBreakdown(
-            rate=-ec_cost,
-            delta=delta,
-            phase_bound=math.inf,
-            ec_cost=ec_cost,
-            pa_cost=0.0,
-            p_1=p_1,
-            y_1=y_1,
-            delta_1=delta_1,
-        )
-    raw_bound = delta_1 / y_1
-    pa_cost = p_1 * y_1 * binary_entropy(min(raw_bound, 0.5))
-    return KeyRateBreakdown(
-        rate=p_1 * y_1 - ec_cost - pa_cost,
-        delta=delta,
-        phase_bound=raw_bound,
-        ec_cost=ec_cost,
-        pa_cost=pa_cost,
-        p_1=p_1,
-        y_1=y_1,
-        delta_1=delta_1,
-    )
-
-
-def rate_kernel(
-    q_s: np.ndarray, p_1: float, y_1: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Array form of the coherent and single-click rates, as a function of e_d.
-
-    Takes the e_d-independent channel terms over a set of points, with every
-    ``y_1 > 0`` and E_s = e_d, and returns ``rate(e_d)``, which maps an array
-    of e_d in [0, 1/2], one per point, to the raw key rates
-    ``-Q_s*H2(e_d) + P1*Y1*(1 - H2(min(delta_1/Y1, 1/2)))``. The single-click
-    formula is the case ``p_1 = 1``, ``y_1 = q_s``. The inputs are not
-    checked. Each value is computed by the operations of
-    ``key_rate_coherent`` and ``key_rate_single_click``, in the same order,
-    so it differs from theirs at most where numpy's log2 differs from
-    ``math.log2`` in the last ulp.
+    where ``e_1``, the error rate of the single-photon clicks, is E_s unless
+    given. The single-click formula is the case P1 = 1, Y1 = Q_s; then
+    delta_1 is the overall QBER delta. Y1 = 0 needs no branch: the phase
+    bound is inf, the clamp takes it to 1/2 and the signal P1*Y1 = 0 makes
+    pa_cost 0, so the rate is -ec_cost (0 for the single-click formula). The
+    inputs are not checked.
     """
     signal = p_1 * y_1
-    random_errors = RANDOM_ASSIGNMENT_ERROR_RATE * (1.0 - y_1)
+    delta_1 = _mix(e_s if e_1 is None else e_1, y_1)
+    ec_cost = q_s * binary_entropy_array(e_s)
+    # delta_1 >= 1/2 where y_1 = 0, and a subnormal y_1 overflows the
+    # quotient to inf, as a float division does.
+    with np.errstate(divide="ignore", over="ignore"):
+        phase_bound = delta_1 / y_1
+    pa_cost = signal * binary_entropy_array(np.minimum(phase_bound, 0.5))
+    return signal - ec_cost - pa_cost, ec_cost, pa_cost, phase_bound, delta_1
 
-    def rate(e_d: np.ndarray) -> np.ndarray:
-        delta_1 = e_d * y_1 + random_errors
-        ec_cost = q_s * binary_entropy_array(e_d)
-        # For a subnormal y_1 the quotient overflows to inf, as a float
-        # division does, and the clamp takes it to 1/2.
-        with np.errstate(over="ignore"):
-            bound = np.minimum(delta_1 / y_1, 0.5)
-        pa_cost = signal * binary_entropy_array(bound)
-        return signal - ec_cost - pa_cost
 
-    return rate
+def model_terms(model: SourceModel) -> tuple[float, float, float]:
+    """``channel_terms`` ``(Q_s, P1, Y1)`` at the operating point of ``model``."""
+    if isinstance(model, SinglePhoton):
+        eta, mu, eta_c = model.eta, math.nan, math.nan
+    elif isinstance(model, CoherentDecoy):
+        eta, mu, eta_c = model.eta, model.mu, math.nan
+    elif isinstance(model, CoherentDecoyMemory):
+        eta, mu, eta_c = model.eta_m, model.mu, model.eta_c
+    else:
+        raise TypeError(f"unknown source model: {model!r}")
+    q_s, p_1, y_1 = channel_terms(model.tag, np.array([eta], dtype=float), mu, eta_c)
+    return q_s.item(), p_1, y_1.item()
+
+
+def _breakdown(q_s, e_s, p_1, y_1, single_click: bool) -> KeyRateBreakdown:
+    """``rate_terms`` at one point; the single-click formula has no P1, Y1, delta_1."""
+    terms = rate_terms(*(np.array([v], dtype=float) for v in (q_s, e_s, p_1, y_1)))
+    rate, ec_cost, pa_cost, phase_bound, delta_1 = (t.item() for t in terms)
+    extra = {} if single_click else {"p_1": p_1, "y_1": y_1, "delta_1": delta_1}
+    return KeyRateBreakdown(rate, _mix(e_s, q_s), phase_bound, ec_cost, pa_cost, **extra)
+
+
+def key_rate_single_click(stats: DetectionStats) -> KeyRateBreakdown:
+    """Key rate Q_s * (1 - H2(E_s) - H2(delta/Q_s)) of the single-click string.
+
+    At Q_s = 0 there is no single-click string: the breakdown carries rate 0,
+    an infinite (vacuous) phase bound, and zero cost terms.
+    """
+    return _breakdown(stats.q_s, stats.e_s, 1.0, stats.q_s, single_click=True)
 
 
 def key_rate(model: SourceModel) -> KeyRateBreakdown:
     """Evaluate the key rate of a source model through its channel model."""
-    if isinstance(model, SinglePhoton):
-        return key_rate_single_click(single_photon_stats(model.system_params()))
-    if isinstance(model, CoherentDecoy):
-        return key_rate_coherent(*coherent_stats(model.system_params()))
-    if isinstance(model, CoherentDecoyMemory):
-        return key_rate_coherent(*coherent_memory_stats(model.system_params()))
-    raise TypeError(f"unknown source model: {model!r}")
+    q_s, p_1, y_1 = model_terms(model)
+    return _breakdown(q_s, model.e_d, p_1, y_1, single_click=isinstance(model, SinglePhoton))

@@ -24,23 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import DEFAULT_BISECT_TOL, find_root_bisect
-from .rates import (
-    CoherentDecoy,
-    CoherentDecoyMemory,
-    SinglePhoton,
-    check_probability,
-    heralded_single_photon_probability,
-    key_rate,
-    rate_kernel,
-    single_photon_probability,
-)
-
-MODEL_FAMILIES = (
-    "single-photon",
-    "coherent",
-    "coherent-memory",
-    "single-photon-memory",
-)
+from .rates import MODEL_FAMILIES, channel_terms, check_inputs, rate_terms
+from .rates import key_rate  # noqa: F401  -- not called here; bench/tracing.py patches it
 
 DEFAULT_MU = 0.5
 DEFAULT_ETA_C = 0.01
@@ -120,36 +105,21 @@ def rate_at(
     """Raw key rate of ``family`` at transmittance ``eta`` and error ``e_d``.
 
     ``eta`` plays the role of the memory readout probability for the two
-    memory families.
+    memory families. The inputs are checked, then the rate kernel is
+    evaluated at the one point.
     """
-    if family == "single-photon" or family == "single-photon-memory":
-        return key_rate(SinglePhoton(eta=eta, e_d=e_d)).rate
-    if family == "coherent":
-        return key_rate(CoherentDecoy(mu=mu, eta=eta, e_d=e_d)).rate
-    if family == "coherent-memory":
-        return key_rate(CoherentDecoyMemory(mu=mu, eta_c=eta_c, eta_m=eta, e_d=e_d)).rate
-    raise ValueError(f"unknown model family {family!r}; expected one of {MODEL_FAMILIES}")
+    _check_family(family, mu, eta_c, eta=eta, e_d=e_d)
+    q_s, p_1, y_1 = channel_terms(family, np.array([eta], dtype=float), mu, eta_c)
+    return rate_terms(q_s, np.array([e_d], dtype=float), p_1, y_1)[0].item()
 
 
-def _channel_terms(family: str, etas: np.ndarray, mu: float, eta_c: float):
-    """Q_s, P1 and Y1 of ``family`` over the eta grid: the e_d-independent terms.
-
-    Checks ``mu`` and ``eta_c`` where the family uses them, with the same
-    rules and messages as the source models.
-    """
-    if family == "single-photon" or family == "single-photon-memory":
-        return etas, 1.0, etas
-    if family == "coherent":
-        p_1 = single_photon_probability(mu)
-        q_s = -np.expm1(-etas * mu)
-    elif family == "coherent-memory":
-        check_probability("eta_c", eta_c)
-        p_1 = heralded_single_photon_probability(mu, eta_c)
-        q_s = etas
-    else:
-        raise ValueError(f"unknown model family {family!r}; expected one of {MODEL_FAMILIES}")
-    check_probability("p_1", p_1)
-    return q_s, p_1, etas
+def _check_family(family: str, mu: float, eta_c: float, **probabilities: float) -> None:
+    """``check_inputs`` on ``probabilities`` and on the ``eta_c`` and ``mu`` ``family`` uses."""
+    check_inputs(
+        **probabilities,
+        eta_c=eta_c if family == "coherent-memory" else None,
+        mu=mu if family in ("coherent", "coherent-memory") else None,
+    )
 
 
 def _solve_grid(
@@ -163,16 +133,18 @@ def _solve_grid(
     outside = ~((etas > 0.0) & (etas <= 1.0))
     if outside.any():
         raise ValueError(f"eta must be in (0, 1], got {etas[outside][0]}")
-    q_s, p_1, y_1 = _channel_terms(family, etas, mu, eta_c)
+    _check_family(family, mu, eta_c)
+    q_s, p_1, y_1 = channel_terms(family, etas, mu, eta_c)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
     e_d_max = np.full(etas.shape, np.nan)
-    kept = rate_kernel(q_s, p_1, y_1)(np.zeros(etas.shape)) > 0.0
+    kept = rate_terms(q_s, np.zeros(etas.shape), p_1, y_1)[0] > 0.0
     if kept.any():
-        n = int(kept.sum())
+        q_s, y_1 = q_s[kept], y_1[kept]
+        n = len(q_s)
         e_d_max[kept] = find_root_bisect(
-            rate_kernel(q_s[kept], p_1, y_1[kept]), np.zeros(n), np.full(n, E_D_MAX), tol=tol
+            lambda e_d: rate_terms(q_s, e_d, p_1, y_1)[0], np.zeros(n), np.full(n, E_D_MAX), tol=tol
         )
     return e_d_max
 
@@ -206,12 +178,11 @@ def sweep_curve(
 ) -> ThresholdCurve:
     """Threshold curve of ``family`` over an eta grid.
 
-    Every grid point is solved at once, on arrays, with the rate kernel of
-    ``lfqkd.rates``; ``rate_at`` is the scalar reference it is tested
-    against. Grid points without a tolerable e_d are omitted. Points are
-    emitted in grid order (strictly increasing eta), so the result is
-    deterministic. Raises EmptyCurveError when every grid point is below the
-    floor.
+    Every grid point is solved at once, on arrays, with ``channel_terms``
+    and the rate kernel ``rate_terms`` of ``lfqkd.rates``. Grid points
+    without a tolerable e_d are omitted. Points are emitted in grid order
+    (strictly increasing eta), so the result is deterministic. Raises
+    EmptyCurveError when every grid point is below the floor.
     """
     if grid is None:
         grid = GridSpec()

@@ -10,6 +10,7 @@ import math
 import time
 
 from lfqkd.cli import main
+from lfqkd.numerics import find_root_bisect
 from lfqkd.rates import (
     CoherentDecoy,
     CoherentDecoyMemory,
@@ -27,6 +28,7 @@ from lfqkd.simulate import (
     run_trials,
 )
 from lfqkd.threshold import MODEL_FAMILIES, rate_at, solve_threshold_ed, sweep_curve
+from reference import binomial_upper_bound
 
 ATTACK_SEED = 6
 HONEST_SEEDS = range(100)
@@ -71,6 +73,22 @@ def test_fifty_percent_transmittance_floor():
         ok,
     )
     check("floor checks run in < 1 s", elapsed < 1.0, f"{elapsed:.3f} s")
+
+
+def test_bell_test_efficiency_is_derived():
+    # A no-click assigned to a fixed outcome gives the CHSH value
+    # S(eta) = 2*sqrt(2)*eta^2 + 2*(1 - eta)^2, which beats the local bound
+    # S = 2 only above eta = 2/(1 + sqrt(2)).
+    tol = 1e-12
+    (bell,) = find_root_bisect(
+        lambda eta: 2 * math.sqrt(2) * eta**2 + 2 * (1 - eta) ** 2 - 2, 0.5, 1.0, tol=tol
+    ).tolist()
+    check(
+        "an efficiency-loophole-free Bell test needs eta > 2/(1 + sqrt(2)), against "
+        "the 50% floor of this scheme",
+        abs(bell - 2 / (1 + math.sqrt(2))) <= tol,
+        f"Bell threshold {bell:.1%}, QKD floor 50.0%",
+    )
 
 
 def test_single_click_rate_reduces_to_baseline():
@@ -192,16 +210,18 @@ def test_attack_nullification():
     sp_elapsed = time.perf_counter() - start
     sp_stats = empirical_stats(sp)
     sigma_q = math.sqrt(q_exact * (1 - q_exact) / sp.n_pulses)
-    sigma_e = math.sqrt(e_exact * (1 - e_exact) / sp.n_single)
+    max_errors = binomial_upper_bound(sp.n_single, e_exact)
     check(
         "strong pulse: Q_s within 3 sigma of 1/2 + 2^-20",
         abs(sp_stats.q_s - q_exact) <= 3 * sigma_q,
         f"Q_s = {sp_stats.q_s:.6f}",
     )
     check(
-        "strong pulse: E_s within 3 sigma of its exact value",
-        abs(sp_stats.e_s - e_exact) <= 3 * sigma_e,
-        f"E_s = {sp_stats.e_s:.3e}, exact = {e_exact:.3e}",
+        "strong pulse: single-click errors within the exact binomial tail of its "
+        "E_s at the one-sided 3 sigma level",
+        sp.n_single_errors <= max_errors,
+        f"{sp.n_single_errors} errors, at most {max_errors}; E_s = {sp_stats.e_s:.3e}, "
+        f"exact = {e_exact:.3e}",
     )
     sp_exact_rate = key_rate_single_click(DetectionStats(q_s=q_exact, e_s=e_exact)).rate
     check(

@@ -8,9 +8,10 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from lfqkd.cli import (
+    ADVERSARIES,
     EXIT_DEGENERATE,
     EXIT_EMPTY_CURVE,
     EXIT_INVALID_CONFIG,
@@ -322,6 +323,25 @@ class TestSimulateCommand:
         q_exact = 0.5 + 2.0**-20
         check_nullified(payload, q_exact, 2.0**-21 / q_exact)
 
+    def test_huge_photon_count_exits_0(self, capsys):
+        # 2**(1 - n) underflows to 0: the strong pulse always double-clicks
+        # on a conjugate basis, where a float power raised OverflowError.
+        assert run_cli(
+            "simulate", "--model", "single-photon", "--eta", "1", "--adversary", "strong-pulse",
+            "--n-photons", "1" + "0" * 400, "--n-pulses", "16",
+        ) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["scenario"] == "strong_pulse"
+
+    def test_memory_that_never_triggers_exits_2(self, capsys):
+        assert run_cli(
+            "simulate", "--model", "coherent-memory", "--eta-m", "0.5", "--eta-c", "0",
+        ) == EXIT_INVALID_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "eta_c = 0: the memory never triggers" in err
+
     def test_degenerate_simulation_exit_code(self, capsys):
         assert run_cli(
             "simulate", "--model", "single-photon", "--eta", "0", "--ed", "0",
@@ -505,6 +525,20 @@ class TestConfigFile:
         assert run_cli("threshold", "--config", str(config), "--mu", "0.5") == EXIT_OK
         assert capsys.readouterr().out == mu_default
 
+    def test_integer_for_float_flag_reads_as_the_flag(self, tmp_path, capsys):
+        # A JSON integer too large for a float is inf, as --mu 1e400 is.
+        assert run_cli("rate", "--model", "coherent", "--eta", "1", "--mu", "1") == EXIT_OK
+        from_flags = capsys.readouterr().out
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"model": "coherent", "eta": 1, "mu": 1}))
+        assert run_cli("rate", "--config", str(config)) == EXIT_OK
+        assert capsys.readouterr().out == from_flags
+        config.write_text(json.dumps({"model": "coherent", "eta": 1, "mu": 10**400}))
+        assert run_cli("rate", "--config", str(config)) == EXIT_INVALID_CONFIG
+        assert "mu must be positive and finite for a coherent source, got inf" in (
+            capsys.readouterr().err
+        )
+
     def test_missing_config_file(self, capsys):
         assert run_cli("rate", "--model", "single-photon", "--eta", "1",
                        "--config", "/nonexistent/x.json") == EXIT_INVALID_CONFIG
@@ -533,6 +567,53 @@ ANY_FLOAT = st.one_of(
 )
 
 
+# Any int, with the edge values drawn often: zero, negatives and 400 digits.
+ANY_INT = st.one_of(
+    st.sampled_from([0, 1, -1, 10**400, -(10**400)]),
+    st.integers(),
+)
+# --n-pulses stays small: see TestExitCodeProperties.test_simulate.
+N_PULSES = st.integers(-2, 64)
+# ANY_FLOAT, with probabilities drawn often enough that batches also run.
+FLAG_FLOAT = st.one_of(ANY_FLOAT, st.floats(0.0, 1.0))
+MODEL_FLAGS = {
+    "--eta": FLAG_FLOAT, "--ed": FLAG_FLOAT, "--mu": FLAG_FLOAT,
+    "--eta-c": FLAG_FLOAT, "--eta-m": FLAG_FLOAT, "--seed": ANY_INT,
+}
+# Any JSON value, the flags' own choices among them.
+JSON_VALUE = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), FLAG_FLOAT, ANY_INT, st.text(max_size=8),
+        st.sampled_from([*SOURCE_MODELS, *MODEL_FAMILIES, *ADVERSARIES, "csv", "json"]),
+    ),
+    lambda children: (
+        st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3)
+    ),
+    max_leaves=6,
+)
+# Config keys of each command with the exit codes it may give; ``out`` is
+# left out, as it writes a file. ``n_pulses`` is always drawn, from N_PULSES
+# or a value that is not an int, so no config runs the default 10**6 pulses.
+CONFIG_KEYS = {
+    "rate": (
+        ("model", "eta", "ed", "mu", "eta_c", "eta_m", "format"),
+        (EXIT_OK, EXIT_INVALID_CONFIG),
+    ),
+    "threshold": (
+        ("model", "mu", "eta_c", "eta_min", "eta_max", "step", "tol", "format"),
+        (EXIT_OK, EXIT_INVALID_CONFIG, EXIT_EMPTY_CURVE),
+    ),
+    "simulate": (
+        ("model", "eta", "ed", "mu", "eta_c", "eta_m", "adversary", "n_photons", "seed", "format"),
+        (EXIT_OK, EXIT_INVALID_CONFIG, EXIT_DEGENERATE),
+    ),
+    "compare": (
+        ("model", "eta", "ed", "mu", "eta_c", "eta_m", "seed", "format"),
+        (EXIT_OK, EXIT_INVALID_CONFIG),
+    ),
+}
+
+
 @st.composite
 def flag_values(draw, flags):
     """Flags drawn from ``flags`` (name -> value strategy), each one optional.
@@ -551,7 +632,8 @@ def quiet_main(argv):
 
 
 class TestExitCodeProperties:
-    """Whatever float a flag holds, the CLI exits with a documented code."""
+    """Whatever a flag or a config key holds, the CLI exits with a documented
+    code and raises nothing."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -578,3 +660,44 @@ class TestExitCodeProperties:
         assert quiet_main(["threshold", "--model", model, *flags]) in (
             EXIT_OK, EXIT_INVALID_CONFIG, EXIT_EMPTY_CURVE,
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        model=st.sampled_from(SOURCE_MODELS),
+        adversary=st.sampled_from(ADVERSARIES),
+        n_pulses=N_PULSES,
+        flags=flag_values({**MODEL_FLAGS, "--n-photons": ANY_INT}),
+    )
+    @example("single-photon", "strong-pulse", 16, ["--eta=1.0", "--n-photons=1" + "0" * 400])
+    def test_simulate(self, model, adversary, n_pulses, flags):
+        """Any float or int flag; ``--n-pulses`` only in [-2, 64], because each
+        shard allocates per pulse, so a huge count is a long run, not an error."""
+        argv = ["simulate", "--model", model, "--adversary", adversary]
+        argv.append(f"--n-pulses={n_pulses}")
+        assert quiet_main([*argv, *flags]) in (
+            EXIT_OK, EXIT_INVALID_CONFIG, EXIT_DEGENERATE,
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=st.sampled_from(SOURCE_MODELS), n_pulses=N_PULSES, flags=flag_values(MODEL_FLAGS))
+    def test_compare(self, model, n_pulses, flags):
+        argv = ["compare", "--model", model, f"--n-pulses={n_pulses}", *flags]
+        assert quiet_main(argv) in (EXIT_OK, EXIT_INVALID_CONFIG)
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data(), command=st.sampled_from(sorted(CONFIG_KEYS)))
+    def test_config_file(self, tmp_path, data, command):
+        keys, exit_codes = CONFIG_KEYS[command]
+        config = {key: data.draw(JSON_VALUE, label=key) for key in keys if data.draw(st.booleans())}
+        if command in ("simulate", "compare"):
+            config["n_pulses"] = data.draw(
+                N_PULSES | JSON_VALUE.filter(lambda v: not isinstance(v, int) or isinstance(v, bool)),
+                label="n_pulses",
+            )
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        assert quiet_main([command, "--config", str(path)]) in exit_codes

@@ -1,5 +1,6 @@
 """Tests for the closed-form channel models and key-rate formulas."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,17 +16,14 @@ from lfqkd.rates import (
     RANDOM_ASSIGNMENT_ERROR_RATE,
     SinglePhoton,
     SystemParams,
-    coherent_memory_stats,
-    coherent_stats,
+    channel_terms,
     key_rate,
-    key_rate_coherent,
     key_rate_single_click,
-    phase_error_single_bound,
     qber,
     rate_basis_independent_baseline,
-    rate_kernel,
-    single_photon_stats,
+    rate_terms,
 )
+from reference import reference_rate
 
 # High-precision reference values (mpmath, 40 digits).
 BASELINE_011 = 1.680836709440087e-4          # 1 - 2*H2(0.11)
@@ -73,20 +71,36 @@ class TestBaselineRate:
             rate_basis_independent_baseline(1.2)
 
 
+def single_click_terms(q_s, e_s):
+    """``rate_terms`` of the single-click formula at one point, as floats."""
+    terms = rate_terms(np.array([q_s]), np.array([e_s]), 1.0, np.array([q_s]))
+    return [t.item() for t in terms]
+
+
 class TestPhaseBound:
+    """The kernel's phase-error bound delta/Q_s and its clamp at 1/2."""
+
     def test_plain_quotient(self):
-        assert phase_error_single_bound(0.108, 0.8) == pytest.approx(0.135, abs=1e-15)
+        _, _, _, bound, delta = single_click_terms(0.8, 0.01)
+        assert bound == pytest.approx(0.135, abs=1e-15)
+        assert delta == pytest.approx(0.108, abs=1e-15)
 
     def test_zero_errors(self):
-        assert phase_error_single_bound(0.0, 0.5) == 0.0
+        # delta = 0 only at Q_s = 1, E_s = 0.
+        _, _, pa_cost, bound, _ = single_click_terms(1.0, 0.0)
+        assert bound == 0.0 and pa_cost == 0.0
 
     def test_clamped_at_half(self):
-        # Extreme time-shift operating point: Q_s = 1/2, E_s = 0, delta = 1/4.
-        assert phase_error_single_bound(0.25, 0.5) == 0.5
+        # delta/Q_s = 0.3/0.4 = 0.75 is clamped to 1/2: the PA cost is all of Q_s.
+        rate, _, pa_cost, bound, _ = single_click_terms(0.4, 0.0)
+        assert bound == pytest.approx(0.75, abs=1e-15)
+        assert pa_cost == 0.4 and rate == 0.0
 
     def test_degenerate_no_clicks(self):
-        with pytest.raises(DegenerateInputError):
-            phase_error_single_bound(0.5, 0.0)
+        # Q_s = 0: the bound is vacuous (inf) and every term 0, with no branch.
+        rate, ec_cost, pa_cost, bound, delta = single_click_terms(0.0, 0.3)
+        assert bound == math.inf
+        assert (rate, ec_cost, pa_cost, delta) == (0.0, 0.0, 0.0, 0.5)
 
 
 class TestKeyRateSingleClick:
@@ -129,134 +143,109 @@ class TestKeyRateSingleClick:
             assert abs(single - baseline) <= 1e-12
 
 
+def terms(family, eta, mu=math.nan, eta_c=math.nan):
+    """``channel_terms`` at one eta, as floats."""
+    q_s, p_1, y_1 = channel_terms(family, np.array([eta]), mu, eta_c)
+    return q_s.item(), p_1, y_1.item()
+
+
 class TestChannelModels:
     def test_single_photon_passthrough(self):
-        stats = single_photon_stats(SystemParams(eta=0.7, e_d=0.02))
-        assert (stats.q_s, stats.e_s) == (0.7, 0.02)
+        assert terms("single-photon", 0.7) == (0.7, 1.0, 0.7)
 
     def test_single_photon_boundary_point(self):
-        stats = single_photon_stats(SystemParams(eta=1.0, e_d=0.11))
-        assert (stats.q_s, stats.e_s) == (1.0, 0.11)
+        assert terms("single-photon", 1.0) == (1.0, 1.0, 1.0)
 
     def test_single_photon_opaque(self):
-        stats = single_photon_stats(SystemParams(eta=0.0, e_d=0.0))
-        assert (stats.q_s, stats.e_s) == (0.0, 0.0)
+        assert terms("single-photon", 0.0) == (0.0, 1.0, 0.0)
 
     def test_coherent_reference_point(self):
-        stats, p_1, y_1, delta_1 = coherent_stats(SystemParams(eta=1.0, e_d=0.0, mu=0.5))
-        assert stats.q_s == pytest.approx(Q_MU_HALF, abs=1e-15)
-        assert stats.e_s == 0.0
+        q_s, p_1, y_1 = terms("coherent", 1.0, mu=0.5)
+        assert q_s == pytest.approx(Q_MU_HALF, abs=1e-15)
         assert p_1 == pytest.approx(P1_MU_HALF, abs=1e-15)
         assert y_1 == 1.0
-        assert delta_1 == 0.0
+        assert key_rate(CoherentDecoy(mu=0.5, eta=1.0, e_d=0.0)).delta_1 == 0.0
 
     def test_coherent_click_rate_linear_in_small_mu(self):
         mu = 1e-8
-        stats, _, _, _ = coherent_stats(SystemParams(eta=0.73, e_d=0.0, mu=mu))
-        assert stats.q_s / mu == pytest.approx(0.73, rel=1e-7)
+        q_s, _, _ = terms("coherent", 0.73, mu=mu)
+        assert q_s / mu == pytest.approx(0.73, rel=1e-7)
 
     def test_coherent_single_photon_error(self):
-        _, _, _, delta_1 = coherent_stats(SystemParams(eta=0.6, e_d=0.01, mu=0.5))
+        delta_1 = key_rate(CoherentDecoy(mu=0.5, eta=0.6, e_d=0.01)).delta_1
         assert delta_1 == pytest.approx(0.206, abs=1e-15)
 
     def test_coherent_requires_positive_mu(self):
         with pytest.raises(ValueError):
-            coherent_stats(SystemParams(eta=0.5, e_d=0.0, mu=0.0))
+            CoherentDecoy(mu=0.0, eta=0.5, e_d=0.0)
 
     def test_memory_reference_point(self):
-        _, p_1, _, _ = coherent_memory_stats(
-            SystemParams(e_d=0.0, mu=0.5, eta_c=0.01, eta_m=1.0)
-        )
+        _, p_1, _ = terms("coherent-memory", 1.0, mu=0.5, eta_c=0.01)
         assert p_1 == pytest.approx(P1_MEMORY, abs=1e-14)
 
     def test_memory_perfect_readout(self):
-        stats, _, y_1, delta_1 = coherent_memory_stats(
-            SystemParams(e_d=0.0, mu=0.5, eta_c=0.01, eta_m=1.0)
-        )
-        assert stats.q_s == 1.0 and y_1 == 1.0 and delta_1 == 0.0
+        assert terms("coherent-memory", 1.0, mu=0.5, eta_c=0.01)[::2] == (1.0, 1.0)
+        b = key_rate(CoherentDecoyMemory(mu=0.5, eta_c=0.01, eta_m=1.0, e_d=0.0))
+        assert b.y_1 == 1.0 and b.delta_1 == 0.0
 
     def test_memory_half_readout(self):
-        _, _, _, delta_1 = coherent_memory_stats(
-            SystemParams(e_d=0.0, mu=0.5, eta_c=0.01, eta_m=0.5)
-        )
-        assert delta_1 == 0.25
+        b = key_rate(CoherentDecoyMemory(mu=0.5, eta_c=0.01, eta_m=0.5, e_d=0.0))
+        assert b.delta_1 == 0.25
 
     def test_memory_degenerate_channel(self):
+        # The model rejects eta_c = 0, where the trigger never fires and P1 is 0/0.
         with pytest.raises(DegenerateInputError):
-            coherent_memory_stats(SystemParams(e_d=0.0, mu=0.5, eta_c=0.0, eta_m=0.5))
+            CoherentDecoyMemory(mu=0.5, eta_c=0.0, eta_m=0.5, e_d=0.0)
 
     @pytest.mark.parametrize("mu, eta_c", [(1e-300, 1e-300), (0.4, 5e-324)])
     def test_memory_trigger_underflow_takes_limit(self, mu, eta_c):
         # eta_c * mu rounds to 0, so 1 - exp(-eta_c*mu) does too: P1 -> exp(-mu).
         assert eta_c * mu == 0.0
-        _, p_1, _, _ = coherent_memory_stats(
-            SystemParams(e_d=0.0, mu=mu, eta_c=eta_c, eta_m=1.0)
-        )
+        _, p_1, _ = terms("coherent-memory", 1.0, mu=mu, eta_c=eta_c)
         assert p_1 == math.exp(-mu)
 
 
 class TestKeyRateCoherent:
     def test_errorless_rate_is_single_photon_fraction(self):
-        stats, p_1, y_1, delta_1 = coherent_stats(SystemParams(eta=1.0, e_d=0.0, mu=0.5))
-        assert key_rate_coherent(stats, p_1, y_1, delta_1).rate == pytest.approx(
-            P1_MU_HALF, abs=1e-15
-        )
+        rate = key_rate(CoherentDecoy(mu=0.5, eta=1.0, e_d=0.0)).rate
+        assert rate == pytest.approx(P1_MU_HALF, abs=1e-15)
 
     def test_fifty_percent_floor(self):
-        stats, p_1, y_1, delta_1 = coherent_stats(SystemParams(eta=0.5, e_d=0.0, mu=0.5))
-        assert key_rate_coherent(stats, p_1, y_1, delta_1).rate <= 0.0
+        assert key_rate(CoherentDecoy(mu=0.5, eta=0.5, e_d=0.0)).rate <= 0.0
 
     def test_zero_yield_degenerate_path(self):
-        b = key_rate_coherent(DetectionStats(q_s=0.3, e_s=0.1), 0.3, 0.0, 0.5)
-        assert b.rate == pytest.approx(-b.ec_cost, abs=1e-15)
-        assert b.rate < 0.0
-        assert b.phase_bound == math.inf
+        # Y1 = 0: the signal vanishes and the rate is -ec_cost, with no branch.
+        rate, ec_cost, pa_cost, bound, _ = (
+            t.item() for t in rate_terms(np.array([0.3]), np.array([0.1]), 0.3, np.array([0.0]))
+        )
+        assert rate == -ec_cost < 0.0
+        assert pa_cost == 0.0
+        assert bound == math.inf
 
     def test_terms_recombine(self):
         for eta in (0.55, 0.7, 0.85, 1.0):
             for e_d in (0.0, 0.01, 0.05):
-                stats, p_1, y_1, delta_1 = coherent_stats(
-                    SystemParams(eta=eta, e_d=e_d, mu=0.5)
-                )
-                b = key_rate_coherent(stats, p_1, y_1, delta_1)
-                assert b.rate == pytest.approx(
-                    p_1 * y_1 - b.ec_cost - b.pa_cost, abs=1e-12
-                )
-                assert b.ec_cost == pytest.approx(
-                    stats.q_s * binary_entropy(e_d), abs=1e-15
-                )
+                b = key_rate(CoherentDecoy(mu=0.5, eta=eta, e_d=e_d))
+                assert b.rate == pytest.approx(b.p_1 * b.y_1 - b.ec_cost - b.pa_cost, abs=1e-12)
+                q_s = -math.expm1(-eta * 0.5)
+                assert b.ec_cost == pytest.approx(q_s * binary_entropy(e_d), abs=1e-15)
 
 
 class TestRateKernel:
-    """The array kernel against the scalar formulas it restates."""
+    """The array kernel against the tests' own scalar formula."""
 
-    ETAS = (0.3, 0.5, 0.55, 0.7, 0.85, 1.0)
+    ETAS = (0.0, 5e-324, 0.3, 0.5, 0.55, 0.7, 0.85, 1.0)
     E_DS = (0.0, 0.01, 0.05, 0.11, 0.3, 0.5)
 
-    @staticmethod
-    def terms(model):
-        if isinstance(model, SinglePhoton):
-            stats = single_photon_stats(model.system_params())
-            return stats.q_s, 1.0, stats.q_s
-        stats_of = coherent_stats if isinstance(model, CoherentDecoy) else coherent_memory_stats
-        stats, p_1, y_1, _ = stats_of(model.system_params())
-        return stats.q_s, p_1, y_1
-
-    @pytest.mark.parametrize("make", [
-        lambda eta, e_d: SinglePhoton(eta=eta, e_d=e_d),
-        lambda eta, e_d: CoherentDecoy(mu=0.5, eta=eta, e_d=e_d),
-        lambda eta, e_d: CoherentDecoyMemory(mu=0.5, eta_c=0.01, eta_m=eta, e_d=e_d),
-    ], ids=["single-photon", "coherent", "coherent-memory"])
-    def test_matches_scalar_rate(self, make):
-        models = [make(eta, e_d) for eta in self.ETAS for e_d in self.E_DS]
-        q_s, p_1, y_1 = zip(*(self.terms(m) for m in models))
-        assert len(set(p_1)) == 1
-        rate = rate_kernel(np.array(q_s), p_1[0], np.array(y_1))
-        values = rate(np.array([m.e_d for m in models]))
-        # Same operations in the same order; numpy's log2 may differ from
-        # math.log2 in the last ulp, and every term is at most 1.
-        for model, value in zip(models, values.tolist()):
-            assert value == pytest.approx(key_rate(model).rate, abs=4 * 2.0**-52)
+    @pytest.mark.parametrize("family", ["single-photon", "coherent", "coherent-memory"])
+    def test_matches_scalar_rate(self, family):
+        etas, e_ds = (np.array(v) for v in zip(*itertools.product(self.ETAS, self.E_DS)))
+        q_s, p_1, y_1 = channel_terms(family, etas, 0.5, 0.01)
+        values = rate_terms(q_s, e_ds, p_1, y_1)[0]
+        # The reference sums the terms in the paper's order, and numpy's log2
+        # may differ from math.log2 in the last ulp; every term is at most 1.
+        for eta, e_d, value in zip(etas.tolist(), e_ds.tolist(), values.tolist()):
+            assert value == pytest.approx(reference_rate(family, eta, e_d), abs=4 * 2.0**-52)
 
 
 class TestKeyRateDispatch:
@@ -367,7 +356,7 @@ class TestRateIdentity:
     def test_rate_is_signal_minus_costs(self, model):
         breakdown = key_rate(model)
         if isinstance(model, SinglePhoton):
-            signal = single_photon_stats(model.system_params()).q_s
+            signal = model.eta
         else:
             signal = breakdown.p_1 * breakdown.y_1
         expected = signal - breakdown.ec_cost - breakdown.pa_cost

@@ -15,6 +15,7 @@ from lfqkd.threshold import (
     solve_threshold_ed,
     sweep_curve,
 )
+from reference import reference_rate
 
 # Root of 1 - 2*H2(x) on (0, 1/2); mpmath, 40 digits.
 SINGLE_PHOTON_CEILING = 0.1100278644383596
@@ -107,7 +108,7 @@ def grids(draw):
 
 
 class TestSweepAgainstScalarReference:
-    """The array sweep against the scalar rate_at it restates."""
+    """The array sweep against the tests' own scalar rate formula."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -126,10 +127,10 @@ class TestSweepAgainstScalarReference:
         for eta in grid.values():
             e_d_max = swept.get(eta)
             if e_d_max is None:
-                assert rate_at(family, eta, 0.0, mu=mu, eta_c=eta_c) <= 0.0
+                assert reference_rate(family, eta, 0.0, mu, eta_c) <= 0.0
             else:
-                below = rate_at(family, eta, max(e_d_max - 2 * tol, 0.0), mu=mu, eta_c=eta_c)
-                above = rate_at(family, eta, min(e_d_max + 2 * tol, 0.5), mu=mu, eta_c=eta_c)
+                below = reference_rate(family, eta, max(e_d_max - 2 * tol, 0.0), mu, eta_c)
+                above = reference_rate(family, eta, min(e_d_max + 2 * tol, 0.5), mu, eta_c)
                 assert below >= 0.0 > above
             assert solve_threshold_ed(family, eta, tol=tol, mu=mu, eta_c=eta_c) == e_d_max
 
