@@ -14,6 +14,11 @@ one of its choices. Explicit flags win over the config. ``compare`` always
 runs an honest channel. Outputs are deterministic for identical invocations
 and written atomically when ``--out`` is given.
 
+The parser is built once per process and reused by every ``main`` call. A
+config merge sets the subcommand's defaults for one re-parse and restores
+them afterwards, so no call leaves a trace on the parser; for the same
+reason ``main`` must not run in several threads at once.
+
 Exit status: 0 success, 2 invalid configuration, 3 empty threshold curve,
 4 degenerate simulation (no single clicks).
 """
@@ -21,6 +26,8 @@ Exit status: 0 success, 2 invalid configuration, 3 empty threshold curve,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import os
@@ -112,14 +119,19 @@ def _render(payload: dict, fmt: str) -> str:
     return _render_csv_row(payload) if fmt == "csv" else _render_json(payload)
 
 
-def _apply_config(subparser: argparse.ArgumentParser, path: str) -> None:
-    """Make the JSON object in ``path`` the defaults of ``subparser``'s flags.
+@contextlib.contextmanager
+def _config_defaults(subparser: argparse.ArgumentParser, path: str):
+    """Make the JSON object in ``path`` the defaults of ``subparser``'s flags
+    while the block runs, then restore the parser's own defaults.
 
     Each key must be the dest of one of the subcommand's flags, and each
     value must have that flag's type and be one of its choices.
     """
     with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except RecursionError:
+            raise ConfigError("config file is nested too deeply to read") from None
     if not isinstance(config, dict):
         raise ConfigError("config file must contain a JSON object")
     actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
@@ -139,7 +151,14 @@ def _apply_config(subparser: argparse.ArgumentParser, path: str) -> None:
         if flag_type is float and isinstance(value, int):
             # As the flag reads its digits: 1 is 1.0 and 10**400 is inf.
             config[key] = float(str(value))
-    subparser.set_defaults(**config)
+    saved = {key: actions[key].default for key in config}
+    try:
+        for key, value in config.items():
+            actions[key].default = value
+        yield
+    finally:
+        for key, value in saved.items():
+            actions[key].default = value
 
 
 def _require(args: argparse.Namespace, key: str) -> None:
@@ -260,6 +279,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lfqkd",
@@ -311,8 +331,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             # Config values become defaults, so explicit flags still win.
-            _apply_config(parser._subparsers._group_actions[0].choices[args.command], args.config)
-            args = parser.parse_args(argv)
+            subparser = parser._subparsers._group_actions[0].choices[args.command]
+            with _config_defaults(subparser, args.config):
+                args = parser.parse_args(argv)
         return args.handler(args)
     except EmptyCurveError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -275,9 +275,12 @@ def _pulse_shards(model, adversary, n_pulses, seed) -> Iterator[dict]:
     if not isinstance(model, (SinglePhoton, CoherentDecoy, CoherentDecoyMemory)):
         raise TypeError(f"unknown source model: {model!r}")
     n_shards = -(-n_pulses // SHARD_SIZE)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_shards)):
+    root = np.random.SeedSequence(seed)
+    for i in range(n_shards):
         shard_n = min(SHARD_SIZE, n_pulses - i * SHARD_SIZE)
-        rng = np.random.default_rng(child)
+        # Child i as root.spawn(n_shards)[i] makes it, without building the
+        # other children first: a huge n_pulses is a long run, not a memory spike.
+        rng = np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(i,)))
         yield _simulate_shard(model, adversary, shard_n, rng)
 
 

@@ -10,6 +10,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from lfqkd import cli
 from lfqkd.cli import (
     ADVERSARIES,
     EXIT_DEGENERATE,
@@ -87,6 +88,18 @@ COMPARE_SHA256 = {
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def captured_main(argv):
+    """(exit code, stdout, stderr) of one ``main`` call; an argparse exit
+    gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def zero_sifted_seed(nth):
@@ -539,6 +552,12 @@ class TestConfigFile:
             capsys.readouterr().err
         )
 
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 100_000 + "]" * 100_000)
+        assert run_cli("rate", "--config", str(config)) == EXIT_INVALID_CONFIG
+        assert capsys.readouterr() == ("", "error: config file is nested too deeply to read\n")
+
     def test_missing_config_file(self, capsys):
         assert run_cli("rate", "--model", "single-photon", "--eta", "1",
                        "--config", "/nonexistent/x.json") == EXIT_INVALID_CONFIG
@@ -557,6 +576,81 @@ class TestConfigFile:
             None, 20000, seed=21,
         )
         assert payload == batch.summary()
+
+
+# A config for each subcommand that moves defaults its plain call relies on,
+# the plain call, and a flag that overrides a config value.
+SHARED_PARSER_CASES = {
+    "rate": (
+        {"model": "coherent", "eta": 0.9, "ed": 0.05, "mu": 0.3, "format": "csv"},
+        ["--model", "single-photon", "--eta", "0.8"],
+        ["--ed", "0.01"],
+    ),
+    "threshold": (
+        {"model": "coherent", "mu": 0.3, "eta_min": 0.8, "step": 0.05, "format": "json"},
+        ["--model", "single-photon", "--eta-min", "0.9", "--step", "0.05"],
+        ["--eta-c", "0.02"],
+    ),
+    "simulate": (
+        {"model": "single-photon", "eta": 1.0, "adversary": "strong-pulse",
+         "n_pulses": 4000, "seed": 9},
+        ["--model", "single-photon", "--eta", "0.8", "--n-pulses", "4000"],
+        ["--ed", "0.01"],
+    ),
+    "compare": (
+        {"model": "coherent-memory", "eta_m": 0.75, "n_pulses": 4000, "seed": 9,
+         "format": "csv"},
+        ["--model", "single-photon", "--eta", "0.8", "--n-pulses", "4000"],
+        ["--ed", "0.01"],
+    ),
+}
+
+
+def write_config(tmp_path, command):
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(SHARED_PARSER_CASES[command][0]))
+    return str(path)
+
+
+class TestSharedParser:
+    """``main`` reuses one parser; no call may leave a trace on it."""
+
+    def test_calls_match_a_fresh_parser(self, tmp_path, monkeypatch):
+        bad_config = tmp_path / "bad.json"
+        bad_config.write_text(json.dumps({"model": "single-photon", "gamma": 1}))
+        corpus = []
+        for command, (_, plain, override) in SHARED_PARSER_CASES.items():
+            config = write_config(tmp_path, command)
+            # Each config call is followed by calls that would read a leaked default.
+            corpus += [
+                [command, "--config", config],
+                [command, *plain],
+                [command, "--config", config, *override],
+                [command],
+                [command, "--config", str(bad_config)],
+                [command, *plain, "--format", "nope"],
+                [command, "--help"],
+            ]
+        shared = [captured_main(argv) for argv in corpus]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        for argv, result in zip(corpus, shared):
+            assert result == captured_main(argv), argv
+
+    def test_help_unchanged_by_a_config_call(self, tmp_path):
+        before = captured_main(["rate", "--help"])
+        # Defaults the help shows, unlike those of SHARED_PARSER_CASES.
+        config = tmp_path / "help.json"
+        config.write_text(json.dumps({"model": "coherent", "eta": 0.5, "ed": 0.125, "mu": 0.75}))
+        assert captured_main(["rate", "--config", str(config)])[0] == EXIT_OK
+        assert captured_main(["rate", "--help"]) == before
+
+    @pytest.mark.parametrize("command", sorted(SHARED_PARSER_CASES))
+    def test_same_argv_twice_gives_identical_bytes(self, tmp_path, command):
+        override = SHARED_PARSER_CASES[command][2]
+        argv = [command, "--config", write_config(tmp_path, command), *override]
+        first = captured_main(argv)
+        assert first[0] == EXIT_OK
+        assert captured_main(argv) == first
 
 
 # Any float, with the edge values drawn often: NaN, infinities, zeros,

@@ -22,6 +22,7 @@ from lfqkd.simulate import (
     SHARD_SIZE,
     StrongPulse,
     TrialBatch,
+    _pulse_shards,
     compare_to_analytic,
     empirical_stats,
     run_trials,
@@ -114,6 +115,13 @@ class TestDeterminism:
         a = run_trials(SP_MODEL, StrongPulse(), 50_000, seed=5)
         b = run_trials(SP_MODEL, StrongPulse(), 50_000, seed=5)
         assert a == b
+
+    def test_first_shard_of_a_huge_run_comes_at_once(self):
+        # Shard seeds are derived one at a time, not all before the first shard.
+        first = next(_pulse_shards(SP_MODEL, None, 10**20, 0))
+        same = next(_pulse_shards(SP_MODEL, None, 2 * SHARD_SIZE, 0))
+        assert first.keys() == same.keys()
+        assert all(np.array_equal(first[k], same[k]) for k in first)
 
 
 class TestPartition:
