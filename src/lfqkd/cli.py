@@ -75,6 +75,9 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     target = os.path.abspath(out)
+    # abspath drops a trailing separator, so "dir/" would become a file "dir".
+    if os.path.basename(out) in ("", os.curdir, os.pardir) or os.path.isdir(target):
+        raise ConfigError(f"--out must name a file, not a directory: {out!r}")
     directory = os.path.dirname(target)
     if directory:
         os.makedirs(directory, exist_ok=True)

@@ -24,6 +24,16 @@ uses a dedicated generator seeded from child i of
 merge by addition, so the result does not depend on how shard execution is
 scheduled.
 
+A batch of more than one shard runs its shards on a thread pool, created
+at the first such batch and kept for the process: numpy releases the GIL in
+its RNG fills and in ufuncs over large arrays. The pool is as wide as the
+CPUs this process may run on, and no more shards are in flight than the
+batch has; a one-shard batch, or any batch on a one-CPU host, runs inline
+and creates no pool. Each worker reduces its shard to what the caller keeps
+(the six sifted tallies for ``run_trials``) and results are taken in shard
+order, so tallies and records do not depend on the pool's width or on
+the order in which shards finish.
+
 Each shard of n pulses makes two draws, in this order:
 
 1. ``rng.bytes(n)``: one fair byte per pulse. Bit 0 is Alice's bit, bit 1
@@ -36,7 +46,10 @@ Each shard of n pulses makes two draws, in this order:
    not share (6) for the strong pulse. Bit 7 is unused.
 2. Uniforms in [0, 1): ``rng.random((2, n))`` for the coherent channel,
    one row per detector (the detector of Alice's bit first), and
-   ``rng.random(n)`` otherwise.
+   ``rng.random(n)`` otherwise. They are drawn ``BLOCK`` at a time into
+   one small buffer, row 0 in full before row 1; ``rng.random`` fills a
+   block with the doubles one whole draw would put there, so the stream is
+   that of the whole draw, without an n-element float array per shard.
 
 Every pulse rule is int8 and float64 arithmetic on those arrays. The
 coherent channel uses the per-detector fire probabilities of
@@ -58,7 +71,10 @@ conjugate basis double-clicks except with probability 2**(1 - n_photons).
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator, Union
@@ -81,6 +97,12 @@ from .rates import key_rate  # noqa: F401  -- not called here; bench/tracing.py 
 #: Pulses per RNG shard. Part of the seed-derivation rule: changing it
 #: changes which generator produces which pulse, hence the batch contents.
 SHARD_SIZE = 1 << 18
+
+#: Uniforms per block draw. Not part of the stream: any block size gives the
+#: same doubles. A quarter of a shard: each block costs calls that pass
+#: through the GIL, and at 2**14 a pooled 10**6-pulse batch took about 10%
+#: longer.
+BLOCK = 1 << 16
 
 DEFAULT_STRONG_PULSE_PHOTONS = 20
 
@@ -191,36 +213,56 @@ def _select(mask, a, b):
     return b ^ ((a ^ b) & mask)
 
 
-def _fire(rng, u, matched, p, p_h):
-    """Int8 fire flags of one detector: its chance is ``p`` on a matched
-    pulse and ``p_h`` on a mismatched one. Fills ``u`` with fresh uniforms."""
-    rng.random(out=u)
-    return _select(matched, (u < p).view(np.int8), (u < p_h).view(np.int8))
+def _fair_bytes(rng, n):
+    """The bytes of ``rng.bytes(n)`` as an int8 array.
+
+    ``rng.bytes`` draws ceil(n/4) uint32 and returns them as little-endian
+    bytes; reading those in place saves its two n-byte copies.
+    """
+    words = rng.integers(0, 1 << 32, size=-(-n // 4), dtype=np.uint32)
+    return words.astype("<u4", copy=False).view(np.int8)[:n]
+
+
+def _below(rng, n, *thresholds):
+    """Int8 flags ``u < p`` for each threshold ``p``, over the next ``n``
+    uniforms of ``rng``: the flags of ``u = rng.random(n)``.
+
+    The uniforms are drawn ``BLOCK`` at a time into one reused buffer, so
+    a shard holds no n-element float array. At most one block is one draw.
+    """
+    if n <= BLOCK:
+        u = rng.random(n)
+        return [(u < p).view(np.int8) for p in thresholds]
+    flags = [np.empty(n, dtype=np.int8) for _ in thresholds]
+    u = np.empty(BLOCK)
+    for start in range(0, n, BLOCK):
+        block = u[: n - start]
+        rng.random(out=block)
+        for flag, p in zip(flags, thresholds):
+            np.less(block, p, out=flag[start : start + len(block)].view(np.bool_))
+    return flags
 
 
 def _honest_hits(model, fair, alice_bits, matched, n, rng):
     """Click kinds and single-click bits for the honest channel of ``model``."""
     if isinstance(model, CoherentDecoy):
         # Poisson splitting: the detector of Alice's bit and the other one
-        # fire independently. Their uniforms are the two rows of
-        # rng.random((2, n)), drawn a row at a time into one buffer: a
-        # (2, n) draw against (2, n) thresholds made a batch twice as slow.
+        # fire independently, with chance p_c and p_w on a matched pulse and
+        # p_h each on a mismatched one. Their uniforms are the two rows of
+        # rng.random((2, n)).
         p_c, p_w, p_h = coherent_fire_probabilities(model.mu, model.eta, model.e_d)
-        u = np.empty(n)
-        correct = _fire(rng, u, matched, p_c, p_h)
-        wrong = _fire(rng, u, matched, p_w, p_h)
+        correct = _select(matched, *_below(rng, n, p_c, p_h))
+        wrong = _select(matched, *_below(rng, n, p_w, p_h))
         return correct + wrong, alice_bits ^ wrong
     # CoherentDecoyMemory: trials are conditioned on the trigger.
     eta = model.eta if isinstance(model, SinglePhoton) else model.eta_m
-    u = rng.random(n)
-    clicked = (u < eta).view(np.int8)
-    flips = (u < eta * model.e_d).view(np.int8)
+    clicked, flips = _below(rng, n, eta, eta * model.e_d)
     return clicked, _select(matched, alice_bits ^ flips, _bit(fair, 4))
 
 
 def _time_shift_hits(model, fair, alice_bits, matched, n, rng):
     # Channel transmittance forced to 1: all loss in the batch is Eve's.
-    flips = (rng.random(n) < model.e_d).view(np.int8)
+    (flips,) = _below(rng, n, model.e_d)
     dest = _select(matched, alice_bits ^ flips, _bit(fair, 4))
     # A single click exactly when the active detector is the destination's.
     return 1 ^ dest ^ _bit(fair, 5), dest
@@ -230,7 +272,7 @@ def _strong_pulse_hits(adversary, fair, alice_bits, alice_bases, bob_bases, n, r
     eve_bases, eve_rand, conj_bits = _bit(fair, 4), _bit(fair, 5), _bit(fair, 6)
     eve_bits = _select(1 ^ eve_bases ^ alice_bases, alice_bits, eve_rand)
     same_basis = 1 ^ bob_bases ^ eve_bases
-    one_side = (rng.random(n) < math.ldexp(1.0, 1 - adversary.n_photons)).view(np.int8)
+    (one_side,) = _below(rng, n, math.ldexp(1.0, 1 - adversary.n_photons))
     return _DOUBLE - (same_basis | one_side), _select(same_basis, eve_bits, conj_bits)
 
 
@@ -240,7 +282,7 @@ def _simulate_shard(model, adversary, n, rng):
     Each channel returns the pulse's int8 ``ClickKind`` code and the bit a
     single click carries; that bit is ignored for the other kinds.
     """
-    fair = np.frombuffer(rng.bytes(n), dtype=np.int8)
+    fair = _fair_bytes(rng, n)
     alice_bits, alice_bases, bob_bases = _bit(fair, 0), _bit(fair, 1), _bit(fair, 2)
     matched = 1 ^ alice_bases ^ bob_bases
 
@@ -264,24 +306,92 @@ def _simulate_shard(model, adversary, n, rng):
     }
 
 
-def _pulse_shards(model, adversary, n_pulses, seed) -> Iterator[dict]:
-    """Check the inputs, then simulate and yield one shard at a time, in order.
+@functools.cache
+def _cpu_count() -> int:
+    """CPUs this process may run on: the width of the shard pool."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The one input check for every entry point. Shard i draws from a
-    generator seeded by child i of ``SeedSequence(seed)``.
+
+@functools.cache
+def _executor(pid: int):
+    """The shard pool of process ``pid``, made at its first batch of more
+    than one shard.
+
+    Its threads start only as shards need them, so a pool of ``_cpu_count``
+    threads never runs more than the shards a batch puts in flight. A forked
+    child inherits the pool but not its threads, so it makes a pool of its own.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=_cpu_count(), thread_name_prefix="lfqkd-shard")
+
+
+def _shard_specs(n_pulses: int, seed: int) -> Iterator[tuple]:
+    """(pulse count, seed sequence) of each shard, in order, made as asked for.
+
+    Shard i draws from a generator seeded by child i of ``SeedSequence(seed)``.
+    """
+    root = np.random.SeedSequence(seed)
+    for i in range(-(-n_pulses // SHARD_SIZE)):
+        n = min(SHARD_SIZE, n_pulses - i * SHARD_SIZE)
+        # Child i as root.spawn(n_shards)[i] makes it, without building the
+        # other children first: a huge n_pulses is a long run, not a memory spike.
+        yield n, np.random.SeedSequence(root.entropy, spawn_key=(i,))
+
+
+def _pooled(work, items, width: int) -> Iterator:
+    """``map(work, items)`` on the shard pool, with at most ``width + 1``
+    items taken ahead of the result being yielded."""
+    pool, pending = _executor(os.getpid()), deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(work, item))
+            if len(pending) > width:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
+def _pulse_shards(model, adversary, n_pulses, seed, reduce) -> Iterator:
+    """Check the inputs, then simulate each shard and give ``reduce`` of its
+    arrays, one shard at a time, in shard order.
+
+    The one input check for every entry point. A batch of more than one
+    shard runs on the shard pool, where ``reduce`` runs too, so a shard's
+    arrays are freed as soon as it is reduced.
     """
     if n_pulses <= 0:
         raise ValueError(f"n_pulses must be positive, got {n_pulses}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if not isinstance(model, (SinglePhoton, CoherentDecoy, CoherentDecoyMemory)):
         raise TypeError(f"unknown source model: {model!r}")
-    n_shards = -(-n_pulses // SHARD_SIZE)
-    root = np.random.SeedSequence(seed)
-    for i in range(n_shards):
-        shard_n = min(SHARD_SIZE, n_pulses - i * SHARD_SIZE)
-        # Child i as root.spawn(n_shards)[i] makes it, without building the
-        # other children first: a huge n_pulses is a long run, not a memory spike.
-        rng = np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(i,)))
-        yield _simulate_shard(model, adversary, shard_n, rng)
+
+    def shard(spec):
+        n, seed_seq = spec
+        return reduce(_simulate_shard(model, adversary, n, np.random.default_rng(seed_seq)))
+
+    width = min(_cpu_count(), -(-n_pulses // SHARD_SIZE))
+    specs = _shard_specs(n_pulses, seed)
+    return map(shard, specs) if width == 1 else _pooled(shard, specs, width)
+
+
+def _tally(a: dict) -> np.ndarray:
+    """Sifted pulses and sifted errors of one shard, as a (2, 3) array
+    indexed by [error, ClickKind code]."""
+    matched = a["matched"]
+    matched_err = matched & (a["assigned_bit"] != a["alice_bit"])
+    counts = np.zeros((2, len(ClickKind)), dtype=np.int64)
+    for k in ClickKind:
+        is_k = a["kind"] == np.int8(k)
+        counts[0, k] = np.count_nonzero(is_k & matched)
+        counts[1, k] = np.count_nonzero(is_k & matched_err)
+    return counts
 
 
 def run_trials(
@@ -296,17 +406,7 @@ def run_trials(
     is the basis-matched subset those tallies cover. Identical arguments
     produce a bit-identical batch.
     """
-    # Sifted pulses and sifted errors, indexed by ClickKind code.
-    n_kind = [0] * len(ClickKind)
-    n_err = [0] * len(ClickKind)
-    for a in _pulse_shards(model, adversary, n_pulses, seed):
-        matched = a["matched"]
-        matched_err = matched & (a["assigned_bit"] != a["alice_bit"])
-        for k in ClickKind:
-            is_k = a["kind"] == np.int8(k)
-            n_kind[k] += int(np.count_nonzero(is_k & matched))
-            n_err[k] += int(np.count_nonzero(is_k & matched_err))
-
+    n_kind, n_err = sum(_pulse_shards(model, adversary, n_pulses, seed, _tally)).tolist()
     return TrialBatch(
         n_pulses=sum(n_kind),
         n_single=n_kind[ClickKind.SINGLE],
@@ -336,7 +436,7 @@ def trial_records(
     ``ClickKind`` code) and ``assigned_bit``. The assigned bit is the
     detector's for a single click and uniformly random otherwise.
     """
-    shards = list(_pulse_shards(model, adversary, n_pulses, seed))
+    shards = list(_pulse_shards(model, adversary, n_pulses, seed, lambda a: a))
     records = np.empty(n_pulses, dtype=[(name, np.int8) for name in _RECORD_FIELDS])
     for name in _RECORD_FIELDS:
         records[name] = np.concatenate([a[name] for a in shards])

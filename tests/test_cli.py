@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import os
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -391,6 +392,27 @@ class TestSimulateCommand:
             "--n-pulses", "1000", "--seed", "2", "--out", str(out),
         ) == EXIT_OK
         assert json.loads(out.read_text())["n_pulses"] > 0
+
+    @pytest.mark.parametrize("name", ["newdir" + os.sep, "existing"])
+    def test_out_naming_a_directory_exits_2(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "existing").mkdir()
+        code, out, err = captured_main(
+            ["simulate", "--model", "single-photon", "--eta", "0.5", "--n-pulses", "16",
+             "--out", name]
+        )
+        assert (code, out) == (EXIT_INVALID_CONFIG, "")
+        assert err.startswith("error: --out ") and repr(name) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
+        assert not any((tmp_path / "existing").iterdir())
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_negative_seed_exits_2_naming_seed(self, command):
+        code, out, err = captured_main(
+            [command, "--model", "single-photon", "--eta", "0.5", "--seed", "-1"]
+        )
+        assert (code, out) == (EXIT_INVALID_CONFIG, "")
+        assert err == "error: seed must be non-negative, got -1\n"
 
     @pytest.mark.parametrize("scenario, seed", sorted(SIMULATE_SHA256))
     def test_output_bytes_pinned(self, capsys, scenario, seed):

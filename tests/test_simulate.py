@@ -1,11 +1,16 @@
 """Tests for the Monte Carlo detection simulator."""
 
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lfqkd import simulate
 from lfqkd.rates import (
     CoherentDecoy,
     CoherentDecoyMemory,
@@ -17,12 +22,19 @@ from lfqkd.rates import (
     qber,
 )
 from lfqkd.simulate import (
+    BLOCK,
     ClickKind,
     ExtremeTimeShift,
     SHARD_SIZE,
     StrongPulse,
     TrialBatch,
+    _below,
+    _cpu_count,
+    _fair_bytes,
     _pulse_shards,
+    _shard_specs,
+    _simulate_shard,
+    _tally,
     compare_to_analytic,
     empirical_stats,
     run_trials,
@@ -118,10 +130,109 @@ class TestDeterminism:
 
     def test_first_shard_of_a_huge_run_comes_at_once(self):
         # Shard seeds are derived one at a time, not all before the first shard.
-        first = next(_pulse_shards(SP_MODEL, None, 10**20, 0))
-        same = next(_pulse_shards(SP_MODEL, None, 2 * SHARD_SIZE, 0))
+        first = next(_pulse_shards(SP_MODEL, None, 10**20, 0, lambda a: a))
+        same = next(_pulse_shards(SP_MODEL, None, 2 * SHARD_SIZE, 0, lambda a: a))
         assert first.keys() == same.keys()
         assert all(np.array_equal(first[k], same[k]) for k in first)
+
+
+class TestShardSchedule:
+    """Shards run on a pool; what a batch holds must not depend on it."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        scenario=st.sampled_from(SCENARIOS),
+        n_pulses=st.integers(SHARD_SIZE - 1, 3 * SHARD_SIZE + 17),
+        seed=st.integers(0, 2**64 - 1),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_batch_is_the_sum_of_shard_tallies_in_any_order(
+        self, scenario, n_pulses, seed, order
+    ):
+        model, adversary = scenario
+        specs = list(_shard_specs(n_pulses, seed))
+        order.shuffle(specs)
+        counts = sum(
+            _tally(_simulate_shard(model, adversary, n, np.random.default_rng(seed_seq)))
+            for n, seed_seq in specs
+        )
+        (none, single, double), (none_err, single_err, double_err) = counts.tolist()
+        batch = run_trials(model, adversary, n_pulses, seed=seed)
+        assert (
+            batch.n_pulses, batch.n_none, batch.n_single, batch.n_double,
+            batch.n_none_errors, batch.n_single_errors, batch.n_double_errors,
+        ) == (none + single + double, none, single, double, none_err, single_err, double_err)
+
+    def test_scheduler_takes_few_shards_ahead(self, monkeypatch):
+        # A pool that took every shard at once would never start a huge run.
+        drawn = []
+
+        def counted_specs(n_pulses, seed):
+            for spec in _shard_specs(n_pulses, seed):
+                drawn.append(spec)
+                yield spec
+
+        monkeypatch.setattr(simulate, "_shard_specs", counted_specs)
+        shards = _pulse_shards(SP_MODEL, None, 10**20, 0, lambda a: a["kind"].size)
+        assert next(shards) == SHARD_SIZE
+        assert 1 <= len(drawn) <= _cpu_count() + 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_runs_pooled_batches(self):
+        # The child inherits the parent's pool object but none of its threads.
+        expected = run_trials(SP_MODEL, None, 2 * SHARD_SIZE, seed=3)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            child = pool.apply_async(run_trials, (SP_MODEL, None, 2 * SHARD_SIZE, 3))
+            assert child.get(timeout=60) == expected
+
+    def test_one_shard_batch_starts_no_pool(self):
+        # A one-shard batch runs inline: no pool, and no import of
+        # concurrent.futures, which costs a fresh process milliseconds.
+        code = (
+            "import sys\n"
+            "import lfqkd.cli\n"
+            "from lfqkd.rates import SinglePhoton\n"
+            "from lfqkd.simulate import _executor, run_trials\n"
+            "run_trials(SinglePhoton(eta=0.7, e_d=0.03), n_pulses=SIZE, seed=0)\n"
+            "print('concurrent.futures' in sys.modules, _executor.cache_info().currsize)\n"
+        ).replace("SIZE", str(SHARD_SIZE))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "0"]
+
+
+class TestBlockDraws:
+    """The block draws read the same stream as one whole draw."""
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, SHARD_SIZE])
+    def test_flags_match_one_whole_draw(self, n):
+        thresholds = (0.0, 0.02, 0.7, 1.0)
+        u = np.random.default_rng(n).random(n)
+        flags = _below(np.random.default_rng(n), n, *thresholds)
+        for flag, p in zip(flags, thresholds):
+            assert flag.dtype == np.int8
+            assert np.array_equal(flag, u < p)
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, SHARD_SIZE])
+    def test_two_draws_are_the_rows_of_the_coherent_draw(self, n):
+        u = np.random.default_rng(n).random((2, n))
+        rng = np.random.default_rng(n)
+        (row_0,) = _below(rng, n, 0.3)
+        (row_1,) = _below(rng, n, 0.6)
+        assert np.array_equal(row_0, u[0] < 0.3)
+        assert np.array_equal(row_1, u[1] < 0.6)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, BLOCK + 1, SHARD_SIZE])
+    def test_fair_bytes_are_rng_bytes(self, n):
+        rng = np.random.default_rng(n)
+        fair = _fair_bytes(rng, n)
+        expected = np.random.default_rng(n)
+        assert fair.dtype == np.int8
+        assert np.array_equal(fair, np.frombuffer(expected.bytes(n), dtype=np.int8))
+        assert rng.random() == expected.random()
 
 
 class TestPartition:
@@ -467,6 +578,10 @@ class TestInputValidation:
     def test_n_pulses_positive(self):
         with pytest.raises(ValueError):
             run_trials(SP_MODEL, None, 0, seed=0)
+
+    def test_seed_non_negative(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            run_trials(SP_MODEL, None, 100, seed=-1)
 
     def test_unknown_model(self):
         with pytest.raises(TypeError):
