@@ -248,7 +248,10 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         payload = {
             "model": curve.model_tag,
             "grid": {"eta_min": grid.eta_min, "eta_max": grid.eta_max, "step": grid.step},
-            "points": [{"eta": p.eta, "e_d_max": p.e_d_max} for p in curve.points],
+            "points": [
+                {"eta": eta, "e_d_max": e_d}
+                for eta, e_d in zip(curve.eta.tolist(), curve.e_d_max.tolist())
+            ],
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:

@@ -133,19 +133,19 @@ def test_threshold_curve_shapes():
     elapsed = time.perf_counter() - start
 
     ok_floor = all(
-        all(p.eta > 0.5 for p in curve.points) for curve in curves.values()
+        all(eta > 0.5 for eta in curve.eta.tolist()) for curve in curves.values()
     )
-    ok_onset = all(curve.points[0].eta <= 0.55 for curve in curves.values())
+    ok_onset = all(curve.eta[0] <= 0.55 for curve in curves.values())
     check(
         "all four curves are empty for eta <= 0.5 and populated by eta = 0.55",
         ok_floor and ok_onset,
     )
 
-    sp = curves["single-photon"].points
-    mem = curves["single-photon-memory"].points
-    ok_same = len(sp) == len(mem) and all(
-        a.eta == b.eta and abs(a.e_d_max - b.e_d_max) <= 1e-6
-        for a, b in zip(sp, mem)
+    sp = curves["single-photon"]
+    mem = curves["single-photon-memory"]
+    ok_same = len(sp.eta) == len(mem.eta) and all(
+        a_eta == b_eta and abs(a_ed - b_ed) <= 1e-6
+        for a_eta, a_ed, b_eta, b_ed in zip(sp.eta, sp.e_d_max, mem.eta, mem.e_d_max)
     )
     check(
         "memory basis-independent curve is identical to the single-photon curve "
@@ -156,9 +156,9 @@ def test_threshold_curve_shapes():
     tol = 1e-9
     ok_bracket = True
     for family, curve in curves.items():
-        for p in curve.points:
-            lo = rate_at(family, p.eta, max(p.e_d_max - 2 * tol, 0.0))
-            hi = rate_at(family, p.eta, min(p.e_d_max + 2 * tol, 0.5))
+        for eta, e_d_max in zip(curve.eta.tolist(), curve.e_d_max.tolist()):
+            lo = rate_at(family, eta, max(e_d_max - 2 * tol, 0.0))
+            hi = rate_at(family, eta, min(e_d_max + 2 * tol, 0.5))
             ok_bracket = ok_bracket and lo >= 0.0 and hi < 0.0
     check("every emitted point sign-brackets the zero crossing", ok_bracket)
     check("full four-curve sweep runs in < 10 s", elapsed < 10.0, f"{elapsed:.2f} s")

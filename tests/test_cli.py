@@ -219,6 +219,20 @@ class TestThresholdCommand:
         assert payload["model"] == "coherent-memory"
         assert payload["points"][-1]["eta"] == 1.0
 
+    def test_csv_and_json_agree_with_an_appended_endpoint(self, capsys):
+        grid = ("--model", "coherent", "--eta-min", "0.5", "--eta-max", "0.9925", "--step", "0.005")
+        assert run_cli("threshold", *grid) == EXIT_OK
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert run_cli("threshold", *grid, "--format", "json") == EXIT_OK
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert len(rows) == len(points) > 1
+        for (model, eta, e_d), point in zip(rows, points):
+            assert model == "coherent"
+            assert eta == f"{point['eta']:.9f}"
+            assert e_d == f"{point['e_d_max']:.9f}"
+        assert points[-1]["eta"] == 0.9925
+        assert rows[-1][1] == "0.992500000"
+
     def test_invalid_grid_exits_2(self, capsys):
         assert run_cli(
             "threshold", "--model", "single-photon", "--eta-min", "0.9",

@@ -1,7 +1,8 @@
 """Tests for the tolerance-boundary solver and curve sweep."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lfqkd.threshold import (
     CSV_HEADER,
@@ -9,7 +10,6 @@ from lfqkd.threshold import (
     GridSpec,
     MAX_GRID_POINTS,
     MODEL_FAMILIES,
-    ThresholdPoint,
     curve_to_csv,
     rate_at,
     solve_threshold_ed,
@@ -107,6 +107,14 @@ def grids(draw):
     return GridSpec(eta_min=ends[0], eta_max=ends[1], step=draw(st.floats(0.01, 0.5)))
 
 
+@st.composite
+def valid_grids(draw):
+    """Any grid GridSpec accepts, with at most 10^4 steps to keep examples quick."""
+    ends = sorted(draw(st.lists(ETA, min_size=2, max_size=2)))
+    step = draw(st.floats(max((ends[1] - ends[0]) / 10**4, 5e-324), 1.0))
+    return GridSpec(eta_min=ends[0], eta_max=ends[1], step=step)
+
+
 class TestSweepAgainstScalarReference:
     """The array sweep against the tests' own scalar rate formula."""
 
@@ -120,11 +128,11 @@ class TestSweepAgainstScalarReference:
     )
     def test_sweep_matches_scalar_rate(self, family, mu, eta_c, grid, tol):
         try:
-            points = sweep_curve(family, grid=grid, tol=tol, mu=mu, eta_c=eta_c).points
+            curve = sweep_curve(family, grid=grid, tol=tol, mu=mu, eta_c=eta_c)
+            swept = dict(zip(curve.eta.tolist(), curve.e_d_max.tolist()))
         except EmptyCurveError:
-            points = ()
-        swept = {p.eta: p.e_d_max for p in points}
-        for eta in grid.values():
+            swept = {}
+        for eta in grid.values().tolist():
             e_d_max = swept.get(eta)
             if e_d_max is None:
                 assert reference_rate(family, eta, 0.0, mu, eta_c) <= 0.0
@@ -138,36 +146,34 @@ class TestSweepAgainstScalarReference:
 class TestSweepCurve:
     def test_points_sorted_and_above_floor(self):
         curve = sweep_curve("single-photon")
-        etas = [p.eta for p in curve.points]
+        etas = curve.eta.tolist()
         assert etas == sorted(etas)
         assert len(set(etas)) == len(etas)
         assert all(eta > 0.5 for eta in etas)
 
     def test_curve_ends_at_ceiling(self):
         curve = sweep_curve("single-photon")
-        last = curve.points[-1]
-        assert last.eta == 1.0
-        assert abs(last.e_d_max - 0.110) < 0.001
+        assert curve.eta[-1] == 1.0
+        assert abs(curve.e_d_max[-1] - 0.110) < 0.001
 
     def test_single_photon_curve_nondecreasing(self):
         curve = sweep_curve("single-photon")
-        values = [p.e_d_max for p in curve.points]
+        values = curve.e_d_max.tolist()
         assert all(v1 <= v2 + 1e-9 for v1, v2 in zip(values, values[1:]))
 
     def test_memory_curve_matches_single_photon(self):
         sp = sweep_curve("single-photon")
         mem = sweep_curve("single-photon-memory")
-        assert len(sp.points) == len(mem.points)
-        for a, b in zip(sp.points, mem.points):
-            assert a.eta == b.eta
-            assert abs(a.e_d_max - b.e_d_max) <= 1e-6
-        assert mem.points[0].model_tag == "single-photon-memory"
+        assert sp.eta.tolist() == mem.eta.tolist()
+        for a, b in zip(sp.e_d_max.tolist(), mem.e_d_max.tolist()):
+            assert abs(a - b) <= 1e-6
+        assert mem.model_tag == "single-photon-memory"
 
     @pytest.mark.parametrize("family", ["coherent", "coherent-memory"])
     def test_coherent_families_have_curves(self, family):
         curve = sweep_curve(family)
-        assert curve.points[0].eta <= 0.55
-        assert curve.points[-1].e_d_max > 0.0
+        assert curve.eta[0] <= 0.55
+        assert curve.e_d_max[-1] > 0.0
 
     def test_empty_curve_raises(self):
         with pytest.raises(EmptyCurveError):
@@ -176,9 +182,9 @@ class TestSweepCurve:
     def test_every_point_passes_bracketing_reevaluation(self):
         tol = 1e-9
         curve = sweep_curve("coherent", grid=GridSpec(eta_min=0.6, eta_max=1.0, step=0.05))
-        for p in curve.points:
-            assert rate_at("coherent", p.eta, max(p.e_d_max - 2 * tol, 0.0)) >= 0.0
-            assert rate_at("coherent", p.eta, p.e_d_max + 2 * tol) < 0.0
+        for eta, e_d_max in zip(curve.eta.tolist(), curve.e_d_max.tolist()):
+            assert rate_at("coherent", eta, max(e_d_max - 2 * tol, 0.0)) >= 0.0
+            assert rate_at("coherent", eta, e_d_max + 2 * tol) < 0.0
 
 
 class TestGridSpec:
@@ -208,6 +214,20 @@ class TestGridSpec:
         # Rounding the step count up or down, with the endpoint appended.
         assert len(GridSpec(eta_min=0.5, eta_max=1.0, step=0.5 / steps).values()) == MAX_GRID_POINTS
 
+    @settings(max_examples=200, deadline=None)
+    @given(grid=valid_grids())
+    @example(grid=GridSpec(eta_min=0.5, eta_max=1.0, step=0.5 / (MAX_GRID_POINTS - 1.6)))
+    @example(grid=GridSpec(eta_min=0.5, eta_max=1.0, step=0.5 / (MAX_GRID_POINTS - 1.4)))
+    @example(grid=GridSpec(eta_min=5e-324, eta_max=0.0301, step=0.01))
+    def test_values_match_the_scalar_formula(self, grid):
+        n_steps = int(round((grid.eta_max - grid.eta_min) / grid.step))
+        expected = [min(grid.eta_min + i * grid.step, grid.eta_max) for i in range(n_steps + 1)]
+        if expected[-1] < grid.eta_max:
+            expected.append(grid.eta_max)
+        values = grid.values()
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert values.tolist() == expected
+
     @pytest.mark.parametrize("step", [0.5 / (MAX_GRID_POINTS - 1), 1e-7, 5e-324])
     def test_grid_beyond_the_cap_names_step(self, step):
         with pytest.raises(ValueError, match=f"step {step} is too small"):
@@ -220,7 +240,7 @@ class TestCsv:
         text = curve_to_csv(curve)
         lines = text.splitlines()
         assert lines[0] == CSV_HEADER
-        assert len(lines) == len(curve.points) + 1
+        assert len(lines) == len(curve.eta) + 1
         assert text.endswith("\n")
         model, eta, e_d = lines[-1].split(",")
         assert model == "single-photon"
@@ -230,11 +250,7 @@ class TestCsv:
     def test_round_trip_within_quantization(self):
         curve = sweep_curve("coherent", grid=GridSpec(eta_min=0.8, eta_max=1.0, step=0.1))
         rows = curve_to_csv(curve).splitlines()[1:]
-        for row, point in zip(rows, curve.points):
+        for row, want_eta, want_ed in zip(rows, curve.eta.tolist(), curve.e_d_max.tolist()):
             _, eta, e_d = row.split(",")
-            assert abs(float(eta) - point.eta) <= 5e-10
-            assert abs(float(e_d) - point.e_d_max) <= 5e-10
-
-    def test_point_fields(self):
-        p = ThresholdPoint(eta=0.75, e_d_max=0.05, model_tag="single-photon")
-        assert (p.eta, p.e_d_max, p.model_tag) == (0.75, 0.05, "single-photon")
+            assert abs(float(eta) - want_eta) <= 5e-10
+            assert abs(float(e_d) - want_ed) <= 5e-10
