@@ -4,7 +4,9 @@ Every rate formula in this package reduces to binary-entropy terms, and the
 tolerance-threshold curves are produced by locating sign changes of a rate
 function, so these two primitives are kept exact about their edge cases.
 Both also come in an array form, which the threshold sweep uses to solve a
-whole grid of points at once.
+whole grid of points at once. On such a grid numpy's per-call overhead
+outweighs the arithmetic, so the array forms use no masks and a bisection
+enters ``np.errstate`` once per solve.
 """
 
 from __future__ import annotations
@@ -35,18 +37,21 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def binary_entropy_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``binary_entropy`` of a float array, H2(0) = H2(1) = 0.
+def _binary_entropy_kernel(x: np.ndarray) -> np.ndarray:
+    """``binary_entropy_array`` outside ``np.errstate``, so numpy may warn: the
+    expression is NaN at x = 0, 1 and outside [0, 1], and ``fmax`` takes NaN to 0."""
+    h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    return np.fmax(h, 0.0, out=h)
 
-    The arguments are not checked: callers pass probabilities they have
-    already validated. The arithmetic is the scalar one; numpy's log2 may
-    differ from ``math.log2`` in the last ulp.
+
+def binary_entropy_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``binary_entropy`` of a float array of one or more
+    dimensions, H2(0) = H2(1) = 0. The arguments are not checked: callers pass
+    probabilities they have already validated, and any other x, NaN included,
+    gives 0. numpy's log2 may differ from ``math.log2`` in the last ulp.
     """
-    h = np.zeros_like(x)
-    inner = (x > 0.0) & (x < 1.0)
-    p = x[inner]
-    h[inner] = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
-    return h
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _binary_entropy_kernel(x)
 
 
 def find_root_bisect(
@@ -70,6 +75,11 @@ def find_root_bisect(
     2,100 halvings. Deterministic: the same inputs always produce the same
     output.
 
+    The test ``f(lo) > 0`` keeps its value for the whole solve, as ``lo``
+    moves only where ``f(mid) > 0`` agrees with it. The loop runs inside one ``np.errstate``
+    per solve that turns numpy's overflow and invalid warnings off, for ``f``
+    too: a bracket wider than the float range overflows ``hi - lo`` to inf.
+
     Raises
     ------
     ValueError
@@ -80,9 +90,8 @@ def find_root_bisect(
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    lo, hi = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
-    )
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    lo, hi = np.atleast_1d(lo.copy(), hi.copy())  # the loop moves the ends in place
     invalid = ~(lo < hi)
     if invalid.any():
         i = np.argmax(invalid)
@@ -102,23 +111,27 @@ def find_root_bisect(
             raise NoSignChangeError(
                 f"f({lo[i]}) = {f_lo[i]} and f({hi[i]}) = {f_hi[i]} have the same sign"
             )
-    while not done.all():
-        # A bracket wider than the float range overflows to inf (and
-        # inf - inf); the stop tests still hold, so numpy need not warn.
-        with np.errstate(over="ignore", invalid="ignore"):
+    lo_positive, active = f_lo > 0.0, ~done
+    # Scatter only in halvings where some bracket stops or hits f == 0;
+    # np.count_nonzero finds those for less than ndarray.any() costs.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.count_nonzero(active):
             mid = 0.5 * (lo + hi)
-            stop = ~done & ((hi - lo <= tol) | ~((lo < mid) & (mid < hi)))
-        root[stop] = mid[stop]
-        done |= stop
-        if done.all():
-            break
-        f_mid = f(mid)
-        at_mid = ~done & (f_mid == 0.0)
-        root[at_mid] = mid[at_mid]
-        done |= at_mid
-        # Brackets already done keep halving; their roots are fixed.
-        to_lo = (f_mid > 0.0) == (f_lo > 0.0)
-        lo = np.where(to_lo, mid, lo)
-        f_lo = np.where(to_lo, f_mid, f_lo)
-        hi = np.where(to_lo, hi, mid)
+            go_on = (hi - lo > tol) & (lo < mid) & (mid < hi)
+            stop = active & ~go_on
+            if np.count_nonzero(stop):
+                root[stop] = mid[stop]
+                active &= go_on
+                if not np.count_nonzero(active):
+                    break
+            f_mid = f(mid)
+            at_mid = f_mid == 0.0
+            if np.count_nonzero(at_mid):
+                at_mid &= active
+                root[at_mid] = mid[at_mid]
+                active &= ~at_mid
+            # Brackets already done keep halving; their roots are fixed.
+            to_lo = (f_mid > 0.0) == lo_positive
+            np.copyto(lo, mid, where=to_lo)
+            np.copyto(hi, mid, where=~to_lo)
     return root

@@ -45,7 +45,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .numerics import binary_entropy, binary_entropy_array
+from .numerics import _binary_entropy_kernel, binary_entropy
 
 #: Error rate e_0 of a uniformly assigned bit, fixed by construction.
 RANDOM_ASSIGNMENT_ERROR_RATE = 0.5
@@ -315,17 +315,17 @@ def rate_terms(
     delta_1 is the overall QBER delta. Y1 = 0 needs no branch: the phase
     bound is inf, the clamp takes it to 1/2 and the signal P1*Y1 = 0 makes
     pa_cost 0, so the rate is -ec_cost (0 for the single-click formula). The
-    inputs are not checked.
+    inputs are not checked. The body runs in one ``np.errstate``, entropies
+    included, as the bisection calls it once per halving. delta_1/Y1 is inf
+    at Y1 = 0 and where a subnormal Y1 overflows it, as a float division does.
     """
-    signal = p_1 * y_1
-    delta_1 = _mix(e_s if e_1 is None else e_1, y_1)
-    ec_cost = q_s * binary_entropy_array(e_s)
-    # delta_1 >= 1/2 where y_1 = 0, and a subnormal y_1 overflows the
-    # quotient to inf, as a float division does.
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        signal = p_1 * y_1
+        delta_1 = _mix(e_s if e_1 is None else e_1, y_1)
+        ec_cost = q_s * _binary_entropy_kernel(e_s)
         phase_bound = delta_1 / y_1
-    pa_cost = signal * binary_entropy_array(np.minimum(phase_bound, 0.5))
-    return signal - ec_cost - pa_cost, ec_cost, pa_cost, phase_bound, delta_1
+        pa_cost = signal * _binary_entropy_kernel(np.minimum(phase_bound, 0.5))
+        return signal - ec_cost - pa_cost, ec_cost, pa_cost, phase_bound, delta_1
 
 
 def model_terms(model: SourceModel) -> tuple[float, float, float]:

@@ -130,6 +130,8 @@ def _solve_grid(
     q_s, p_1, y_1 = channel_terms(family, etas, mu, eta_c)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if tol >= E_D_MAX:  # every bisection would stop at its first midpoint
+        raise ValueError(f"tol must be below the e_d bracket width {E_D_MAX}, got {tol}")
 
     e_d_max = np.full(etas.shape, np.nan)
     kept = rate_terms(q_s, np.zeros(etas.shape), p_1, y_1)[0] > 0.0

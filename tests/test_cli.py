@@ -7,6 +7,8 @@ import itertools
 import json
 import math
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -291,6 +293,18 @@ class TestThresholdCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert "tol must be positive and finite, got inf" in err
+
+    @pytest.mark.parametrize("tol", ["0.5", "0.6", "1e300"])
+    def test_tol_as_wide_as_the_bracket_exits_2(self, capsys, tol):
+        # Every bracket would stop at its first midpoint, e_d = 1/4.
+        assert run_cli("threshold", "--model", "single-photon", "--tol", tol) == EXIT_INVALID_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"tol must be below the e_d bracket width 0.5, got {float(tol)}" in err
+
+    def test_tol_just_below_the_bracket_width_runs(self, capsys):
+        assert run_cli("threshold", "--model", "single-photon", "--tol", "0.49") == EXIT_OK
+        assert capsys.readouterr().out.startswith("model,eta,e_d_max\n")
 
     def test_memory_trigger_underflow(self, capsys):
         # eta_c * mu underflows to 0: P1 takes its limit exp(-mu) = 1.
@@ -831,3 +845,23 @@ class TestExitCodeProperties:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config))
         assert quiet_main([command, "--config", str(path)]) in exit_codes
+
+
+def readme_cli_lines():
+    """Each ``lfqkd ...`` line of README's CLI block, ``\\`` continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```\n")[1]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_cli_block_is_read():
+    # An empty parametrization would skip the examples, not fail them.
+    assert readme_cli_lines()
+
+
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
+def test_readme_cli_examples_run(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert argv[0] == "lfqkd"
+    code, _, err = captured_main(argv[1:])
+    assert code == EXIT_OK, err

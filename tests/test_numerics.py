@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+import reference
 from lfqkd.numerics import (
     DEFAULT_BISECT_TOL,
     NoSignChangeError,
@@ -172,3 +174,92 @@ class TestFindRootBisectArrays:
     def test_one_invalid_bracket_raises(self):
         with pytest.raises(ValueError, match="invalid bracket \\[3.0, 2.0\\]"):
             find_root_bisect(lambda x: x, np.array([0.0, 3.0]), 2.0)
+
+
+def _recorded(f):
+    """``f`` and the list of copies of the points it is called on."""
+    calls = []
+
+    def recording(x):
+        calls.append(x.copy())
+        return f(x)
+
+    return recording, calls
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+def _half_difference(x, c):
+    """0.5*x - 0.5*c: exactly zero at x = c, and finite for any finite x and c."""
+    return 0.5 * x - 0.5 * c
+
+
+@st.composite
+def brackets_and_functions(draw):
+    """Brackets, a tol from subnormal up to their width, and an ``f`` whose
+    exact zeros sit at ``lo``, ``hi``, a midpoint, inside or outside."""
+    n = draw(st.integers(1, 4))
+    finite = st.floats(-1.7e308, 1.7e308, allow_nan=False)
+    lo, hi, zeros = [], [], []
+    for _ in range(n):
+        a, b = draw(finite), draw(finite)
+        assume(a != b)
+        a, b = min(a, b), max(a, b)
+        mid = 0.5 * a + 0.5 * b
+        lo.append(a)
+        hi.append(b)
+        zeros.append(draw(st.sampled_from([a, b, mid, 0.5 * a + 0.5 * mid]) | finite))
+    lo, hi, c = np.array(lo), np.array(hi), np.array(zeros)
+    # Python floats: a width beyond the float range is inf, without a warning.
+    width = min(min(b - a for a, b in zip(lo.tolist(), hi.tolist())), 1.7e308)
+    tol = draw(st.floats(5e-324, width) | st.sampled_from([5e-324, 1e-300, 1e-9, width]))
+    sign = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["linear", "steps", "cosine"]))
+    if kind == "linear":  # monotone, one exact zero at c
+        f = lambda x: sign * _half_difference(x, c)  # noqa: E731
+    elif kind == "steps":  # non-monotone, exact zeros at c, lo and hi's midpoint
+        f = lambda x: (  # noqa: E731
+            sign * np.sign(_half_difference(x, c)) * np.sign(_half_difference(x, 0.5 * lo + 0.5 * hi))
+        )
+    else:  # non-monotone, many sign changes
+        f = lambda x: sign * (np.cos(x) - 0.5)  # noqa: E731
+    return f, lo, hi, tol
+
+
+def _outcome(solver, f, lo, hi, tol):
+    """(root bits or the exception, the points ``f`` was called on)."""
+    recording, calls = _recorded(f)
+    try:
+        result = _bits(solver(recording, lo, hi, tol=tol))
+    except ValueError as exc:
+        result = (type(exc), str(exc))
+    return result, [_bits(x) for x in calls]
+
+
+class TestMatchesTheMaskedForms:
+    """The entropy kernel and the in-place bisection give the bits of the
+    masked forms they replaced (``tests/reference.py``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(brackets_and_functions())
+    @example((lambda x: x, np.array([-1e308]), np.array([1e308]), DEFAULT_BISECT_TOL))
+    @example((lambda x: x, np.array([-1e308]), np.array([1.7e308]), 5e-324))
+    @example((lambda x: x - 0.25, np.array([0.0]), np.array([0.5]), 1e-300))
+    @example((lambda x: x - 0.5, np.array([0.0, 0.5]), np.array([1.0, 0.75]), 0.1))
+    def test_bisection_same_roots_and_calls(self, case):
+        f, lo, hi, tol = case
+        new = _outcome(find_root_bisect, f, lo, hi, tol)
+        old = _outcome(reference.find_root_bisect, f, lo, hi, tol)
+        assert new[0] == old[0]
+        assert len(new[1]) == len(old[1])
+        assert new[1] == old[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @example([0.0, -0.0, 1.0, 0.5, 5e-324, -5e-324, 1.0 - 2.0**-53, 1.0 + 2.0**-52])
+    @example([math.nan, math.inf, -math.inf, 1e308, -1e308, 2.0, -1.0, 0.11])
+    def test_entropy_same_bits(self, xs):
+        x = np.array(xs)
+        assert _bits(binary_entropy_array(x)) == _bits(reference.binary_entropy_array(x))

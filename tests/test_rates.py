@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfqkd.numerics import binary_entropy
+from lfqkd.numerics import binary_entropy, find_root_bisect
 from lfqkd.rates import (
     CoherentDecoy,
     CoherentDecoyMemory,
@@ -23,6 +24,7 @@ from lfqkd.rates import (
     rate_basis_independent_baseline,
     rate_terms,
 )
+from lfqkd.threshold import sweep_curve
 from reference import reference_rate
 
 # High-precision reference values (mpmath, 40 digits).
@@ -361,3 +363,54 @@ class TestRateIdentity:
             signal = breakdown.p_1 * breakdown.y_1
         expected = signal - breakdown.ec_cost - breakdown.pa_cost
         assert abs(breakdown.rate - expected) <= 1e-12
+
+
+class TestQuietAtEdges:
+    """Inputs where numpy warns unless the rate kernel's one ``np.errstate``
+    covers every term, run with each RuntimeWarning an error."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yield
+
+    def test_rate_terms_at_error_rates_zero_and_one(self):
+        rate, ec_cost, pa_cost, phase_bound, delta_1 = rate_terms(
+            np.ones(2), np.array([0.0, 1.0]), 1.0, np.ones(2)
+        )
+        assert ec_cost.tolist() == [0.0, 0.0]
+        assert delta_1.tolist() == phase_bound.tolist() == [0.0, 1.0]
+        assert pa_cost.tolist() == [0.0, 1.0]
+        assert rate.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("y_1", [0.0, 5e-324])
+    def test_rate_terms_at_zero_and_subnormal_yield(self, y_1):
+        rate, ec_cost, pa_cost, phase_bound, _ = rate_terms(
+            np.array([0.5]), np.array([0.05]), 1.0, np.array([y_1])
+        )
+        assert phase_bound.tolist() == [math.inf]
+        assert pa_cost.tolist() == [y_1]
+        assert rate.tolist() == [y_1 - ec_cost.item() - y_1]
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            SinglePhoton(eta=0.0, e_d=0.05),
+            CoherentDecoy(mu=0.5, eta=0.0, e_d=0.05),
+            CoherentDecoyMemory(mu=0.5, eta_c=0.01, eta_m=0.0, e_d=0.05),
+        ],
+    )
+    def test_key_rate_at_zero_transmittance(self, model):
+        b = key_rate(model)
+        assert (b.rate, b.ec_cost, b.pa_cost, b.phase_bound) == (0.0, 0.0, 0.0, math.inf)
+
+    def test_sweep_with_underflowing_trigger(self):
+        # eta_c * mu rounds to 0: P1 = exp(-mu) = 1, the single-photon terms.
+        memory = sweep_curve("coherent-memory", mu=1e-300, eta_c=1e-300)
+        single = sweep_curve("single-photon")
+        assert memory.e_d_max.tolist() == single.e_d_max.tolist()
+
+    def test_bisection_wider_than_float_range(self):
+        # hi - lo overflows to inf on the first halving.
+        assert find_root_bisect(lambda x: x, -1e308, 1e308).tolist() == [0.0]
