@@ -217,10 +217,14 @@ class KeyRateBreakdown:
         return max(self.rate, 0.0)
 
 
-def _mix(e, q):
-    """Error rate of a string whose fraction ``q`` has error rate ``e`` and
-    whose other bits were assigned at random: e*q + e_0*(1 - q)."""
-    return e * q + RANDOM_ASSIGNMENT_ERROR_RATE * (1.0 - q)
+def _assigned(q):
+    """e_0*(1 - q): the error share of the fraction 1 - q of bits assigned at random."""
+    return RANDOM_ASSIGNMENT_ERROR_RATE * (1.0 - q)
+
+
+def _mix(e, q, assigned=None):
+    """Error rate e*q + ``_assigned(q)`` of bits, a fraction q at error rate e, the rest random."""
+    return e * q + (_assigned(q) if assigned is None else assigned)
 
 
 def qber(stats: DetectionStats) -> float:
@@ -313,19 +317,30 @@ def rate_terms(
     where ``e_1``, the error rate of the single-photon clicks, is E_s unless
     given. The single-click formula is the case P1 = 1, Y1 = Q_s; then
     delta_1 is the overall QBER delta. Y1 = 0 needs no branch: the phase
-    bound is inf, the clamp takes it to 1/2 and the signal P1*Y1 = 0 makes
-    pa_cost 0, so the rate is -ec_cost (0 for the single-click formula). The
-    inputs are not checked. The body runs in one ``np.errstate``, entropies
-    included, as the bisection calls it once per halving. delta_1/Y1 is inf
-    at Y1 = 0 and where a subnormal Y1 overflows it, as a float division does.
+    bound is inf (as where a subnormal Y1 overflows it), the clamp takes it
+    to 1/2 and the signal P1*Y1 = 0 makes pa_cost 0, so the rate is -ec_cost
+    (0 for the single-click formula). The inputs are not checked; rate and
+    the costs have their broadcast shape. The body is ``_rate_kernel`` in
+    one ``np.errstate``; the threshold bisection calls the kernel in its own.
     """
+    e_1 = e_s if e_1 is None else e_1
+    shape = np.broadcast(q_s, e_s, p_1, y_1, e_1).shape  # np.broadcast_shapes costs 6x more
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        signal = p_1 * y_1
-        delta_1 = _mix(e_s if e_1 is None else e_1, y_1)
-        ec_cost = q_s * _binary_entropy_kernel(e_s)
-        phase_bound = delta_1 / y_1
-        pa_cost = signal * _binary_entropy_kernel(np.minimum(phase_bound, 0.5))
-        return signal - ec_cost - pa_cost, ec_cost, pa_cost, phase_bound, delta_1
+        return _rate_kernel(q_s, e_s, e_1, y_1, p_1 * y_1, _assigned(y_1), shape)
+
+
+def _rate_kernel(q_s, e_s, e_1, y_1, signal, assigned, shape):
+    """``rate_terms`` outside ``np.errstate``, given P1*Y1, e_0*(1 - Y1) and the
+    inputs' broadcast shape: both entropies in one call on a stacked array."""
+    delta_1 = _mix(e_1, y_1, assigned)
+    phase_bound = delta_1 / y_1
+    entropy_args = np.empty((2,) + shape)
+    entropy_args[0] = e_s
+    np.minimum(phase_bound, 0.5, out=entropy_args[1])
+    entropies = _binary_entropy_kernel(entropy_args)
+    ec_cost = q_s * entropies[0]
+    pa_cost = signal * entropies[1]
+    return signal - ec_cost - pa_cost, ec_cost, pa_cost, phase_bound, delta_1
 
 
 def model_terms(model: SourceModel) -> tuple[float, float, float]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DEFAULT_BISECT_TOL, find_root_bisect
-from .rates import MODEL_FAMILIES, channel_terms, check_inputs, rate_terms
+from .rates import MODEL_FAMILIES, _assigned, _rate_kernel, channel_terms, check_inputs, rate_terms
 from .rates import key_rate  # noqa: F401  -- not called here; bench/tracing.py patches it
 
 DEFAULT_MU = 0.5
@@ -36,9 +36,12 @@ E_D_MAX = 0.5
 CSV_HEADER = "model,eta,e_d_max"
 
 #: Most points a grid may have: a step whose grid would reach this many is
-#: rejected. A sweep and its CSV cost about 3.5 us and 200 bytes per point,
-#: so one curve stays within seconds and a few hundred MB.
+#: rejected. A sweep and its CSV cost about 2 us and 60 bytes per point, so
+#: one curve stays within seconds and a hundred MB.
 MAX_GRID_POINTS = 10**6
+
+#: Points bisected together, which bounds the solver's temporaries.
+SOLVE_CHUNK = 2**14
 
 
 class EmptyCurveError(ValueError):
@@ -123,8 +126,9 @@ def _solve_grid(
     """Largest e_d with a nonnegative rate at each eta, NaN where there is none.
 
     ``etas`` must lie in (0, 1], as ``GridSpec`` guarantees. Validates the
-    other inputs once, drops the points whose rate at e_d = 0 is already
-    nonpositive, and bisects the rest together over e_d in [0, 1/2].
+    other inputs once; per ``SOLVE_CHUNK`` points (elementwise, so the same
+    bits), drops those whose rate at e_d = 0 is already nonpositive and
+    bisects the rest together over e_d in [0, 1/2] on the rate kernel.
     """
     _check_family(family, mu, eta_c)
     q_s, p_1, y_1 = channel_terms(family, etas, mu, eta_c)
@@ -134,13 +138,16 @@ def _solve_grid(
         raise ValueError(f"tol must be below the e_d bracket width {E_D_MAX}, got {tol}")
 
     e_d_max = np.full(etas.shape, np.nan)
-    kept = rate_terms(q_s, np.zeros(etas.shape), p_1, y_1)[0] > 0.0
-    if kept.any():
-        q_s, y_1 = q_s[kept], y_1[kept]
-        n = len(q_s)
-        e_d_max[kept] = find_root_bisect(
-            lambda e_d: rate_terms(q_s, e_d, p_1, y_1)[0], np.zeros(n), np.full(n, E_D_MAX), tol=tol
-        )
+    for start in range(0, len(etas), SOLVE_CHUNK):
+        chunk = slice(start, start + SOLVE_CHUNK)
+        q_c, y_c = q_s[chunk], y_1[chunk]
+        kept = rate_terms(q_c, np.zeros(q_c.shape), p_1, y_c)[0] > 0.0
+        if kept.any():
+            q_c, y_c = q_c[kept], y_c[kept]
+            signal, assigned, shape = p_1 * y_c, _assigned(y_c), y_c.shape
+            e_d_max[chunk][kept] = find_root_bisect(
+                lambda e_d: _rate_kernel(q_c, e_d, e_d, y_c, signal, assigned, shape)[0],
+                np.zeros(shape), np.full(shape, E_D_MAX), tol=tol)
     return e_d_max
 
 
@@ -195,9 +202,6 @@ def sweep_curve(
 
 def curve_to_csv(curve: ThresholdCurve) -> str:
     """Render a curve as CSV: ``model,eta,e_d_max``, 9-decimal fixed format."""
-    lines = [CSV_HEADER]
-    lines.extend(
-        f"{curve.model_tag},{eta:.9f},{e_d:.9f}"
-        for eta, e_d in zip(curve.eta.tolist(), curve.e_d_max.tolist())
-    )
-    return "\n".join(lines) + "\n"
+    row = curve.model_tag.replace("%", "%%") + ",%.9f,%.9f\n"
+    values = np.column_stack((curve.eta, curve.e_d_max)).ravel().tolist()
+    return f"{CSV_HEADER}\n" + (row * len(curve.eta)) % tuple(values)

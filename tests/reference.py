@@ -6,7 +6,10 @@
 ``binary_entropy_array`` and ``find_root_bisect`` are the masked entropy and
 the bisection loop that ``lfqkd.numerics`` replaced with fewer numpy calls
 per halving, kept verbatim: the new forms must give the same bits and make
-the same calls to ``f``.
+the same calls to ``f``. ``rate_terms``, with its ``_binary_entropy_kernel``
+and ``_mix``, is the rate kernel with two entropy calls that
+``lfqkd.rates`` replaced with one, kept verbatim: the new form must give the
+same bits in all five outputs.
 """
 
 import math
@@ -148,3 +151,54 @@ def find_root_bisect(
         f_lo = np.where(to_lo, f_mid, f_lo)
         hi = np.where(to_lo, hi, mid)
     return root
+
+
+RANDOM_ASSIGNMENT_ERROR_RATE = 0.5
+
+
+def _binary_entropy_kernel(x: np.ndarray) -> np.ndarray:
+    """``binary_entropy_array`` outside ``np.errstate``, so numpy may warn: the
+    expression is NaN at x = 0, 1 and outside [0, 1], and ``fmax`` takes NaN to 0."""
+    h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    return np.fmax(h, 0.0, out=h)
+
+
+def _mix(e, q):
+    """Error rate of a string whose fraction ``q`` has error rate ``e`` and
+    whose other bits were assigned at random: e*q + e_0*(1 - q)."""
+    return e * q + RANDOM_ASSIGNMENT_ERROR_RATE * (1.0 - q)
+
+
+def rate_terms(
+    q_s: np.ndarray,
+    e_s: np.ndarray,
+    p_1: float | np.ndarray,
+    y_1: np.ndarray,
+    e_1: np.ndarray | None = None,
+):
+    """The key rate and its terms, elementwise: the one rate formula.
+
+    Returns ``(rate, ec_cost, pa_cost, phase_bound, delta_1)`` with
+
+        delta_1     = e_1*Y1 + e_0*(1 - Y1),
+        ec_cost     = Q_s*H2(E_s),
+        phase_bound = delta_1/Y1,
+        pa_cost     = P1*Y1*H2(min(phase_bound, 1/2)),
+        rate        = P1*Y1 - ec_cost - pa_cost,
+
+    where ``e_1``, the error rate of the single-photon clicks, is E_s unless
+    given. The single-click formula is the case P1 = 1, Y1 = Q_s; then
+    delta_1 is the overall QBER delta. Y1 = 0 needs no branch: the phase
+    bound is inf, the clamp takes it to 1/2 and the signal P1*Y1 = 0 makes
+    pa_cost 0, so the rate is -ec_cost (0 for the single-click formula). The
+    inputs are not checked. The body runs in one ``np.errstate``, entropies
+    included, as the bisection calls it once per halving. delta_1/Y1 is inf
+    at Y1 = 0 and where a subnormal Y1 overflows it, as a float division does.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        signal = p_1 * y_1
+        delta_1 = _mix(e_s if e_1 is None else e_1, y_1)
+        ec_cost = q_s * _binary_entropy_kernel(e_s)
+        phase_bound = delta_1 / y_1
+        pa_cost = signal * _binary_entropy_kernel(np.minimum(phase_bound, 0.5))
+        return signal - ec_cost - pa_cost, ec_cost, pa_cost, phase_bound, delta_1

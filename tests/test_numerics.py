@@ -132,6 +132,13 @@ class TestFindRootBisect:
         # hi - lo overflows to inf: the width test must not warn or stop early.
         assert abs(solve_one(lambda x: x, -1e308, 1.7e308)) <= DEFAULT_BISECT_TOL
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_midpoint_sum_beyond_float_range(self, sign):
+        # lo + hi overflows to +-inf: the midpoint is 0.5*lo + 0.5*hi instead.
+        lo, hi = sorted([sign * 1e308, sign * 1.7e308])
+        root = solve_one(lambda x: x - sign * 1.5e308, lo, hi)
+        assert abs(root - sign * 1.5e308) <= DEFAULT_BISECT_TOL
+
     def test_invalid_bracket(self):
         with pytest.raises(ValueError):
             solve_one(lambda x: x, 1.0, -1.0)
@@ -229,13 +236,23 @@ def brackets_and_functions(draw):
 
 
 def _outcome(solver, f, lo, hi, tol):
-    """(root bits or the exception, the points ``f`` was called on)."""
+    """(root bits or the exception, the points ``f`` was called on, and
+    whether a midpoint sum ``lo + hi`` overflowed)."""
     recording, calls = _recorded(f)
     try:
-        result = _bits(solver(recording, lo, hi, tol=tol))
+        # As inside ``find_root_bisect``: f at an overflowed midpoint warns.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            roots = solver(recording, lo, hi, tol=tol)
+        result = _bits(roots)
     except ValueError as exc:
-        result = (type(exc), str(exc))
-    return result, [_bits(x) for x in calls]
+        roots, result = np.zeros(0), (type(exc), str(exc))
+    # The brackets are finite, so an infinite midpoint or root is an overflow.
+    overflowed = any(np.isinf(x).any() for x in [roots, *calls])
+    return result, [_bits(x) for x in calls], overflowed
+
+
+#: A point strictly inside [0, 1] whose bisection never lands on it exactly.
+THIRD = 1.0 / 3.0
 
 
 class TestMatchesTheMaskedForms:
@@ -248,10 +265,29 @@ class TestMatchesTheMaskedForms:
     @example((lambda x: x, np.array([-1e308]), np.array([1.7e308]), 5e-324))
     @example((lambda x: x - 0.25, np.array([0.0]), np.array([0.5]), 1e-300))
     @example((lambda x: x - 0.5, np.array([0.0, 0.5]), np.array([1.0, 0.75]), 0.1))
+    # The edges of the halvings without a stop test (``_safe_halvings``):
+    # w/tol at and just above a power of two,
+    @example((lambda x: x - THIRD, np.array([0.0]), np.array([1.0]), 2.0**-20))
+    @example((lambda x: x - THIRD, np.array([0.0]), np.array([1.0]), math.nextafter(2.0**-20, 0)))
+    @example((lambda x: x - THIRD, np.array([0.0, 0.0]), np.array([1.0, 2.0**-3]), 2.0**-30))
+    # M = 2^1022 and the next float above it,
+    @example((lambda x: x - 3e307, np.array([2.0**1021]), np.array([2.0**1022]), 1e-9))
+    @example((lambda x: x, np.array([-(2.0**1022)]), np.array([2.0**1022]), 5e-324))
+    @example(
+        (lambda x: x - 3e307, np.array([2.0**1021]), np.array([math.nextafter(2.0**1022, math.inf)]), 1e-9)
+    )
+    # subnormal brackets,
+    @example((lambda x: x - 333 * 5e-324, np.array([0.0]), np.array([1000 * 5e-324]), 5e-324))
+    @example((lambda x: x, np.array([-7 * 5e-324]), np.array([9 * 5e-324]), 2 * 5e-324))
+    # and tol at float spacing.
+    @example((lambda x: x * x - 2.0, np.array([1.0]), np.array([2.0]), 2.0**-52))
+    @example((lambda x: x - 1.0 - THIRD, np.array([1.0]), np.array([2.0]), 2.0**-53))
     def test_bisection_same_roots_and_calls(self, case):
         f, lo, hi, tol = case
-        new = _outcome(find_root_bisect, f, lo, hi, tol)
         old = _outcome(reference.find_root_bisect, f, lo, hi, tol)
+        # There the reference's midpoint is +-inf, and its root too.
+        assume(not old[2])
+        new = _outcome(find_root_bisect, f, lo, hi, tol)
         assert new[0] == old[0]
         assert len(new[1]) == len(old[1])
         assert new[1] == old[1]

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lfqkd.numerics import binary_entropy, find_root_bisect
 from lfqkd.rates import (
@@ -25,6 +25,7 @@ from lfqkd.rates import (
     rate_terms,
 )
 from lfqkd.threshold import sweep_curve
+import reference
 from reference import reference_rate
 
 # High-precision reference values (mpmath, 40 digits).
@@ -248,6 +249,50 @@ class TestRateKernel:
         # may differ from math.log2 in the last ulp; every term is at most 1.
         for eta, e_d, value in zip(etas.tolist(), e_ds.tolist(), values.tolist()):
             assert value == pytest.approx(reference_rate(family, eta, e_d), abs=4 * 2.0**-52)
+
+
+#: Probabilities where the entropies and the phase bound meet their edges.
+EDGES = [0.0, 5e-324, 2.0**-1022, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0]
+
+
+def _probabilities(shape):
+    """A float array of ``shape`` with entries in [0, 1], edges included."""
+    p = st.sampled_from(EDGES) | st.floats(0.0, 1.0)
+    n = math.prod(shape)
+    return st.lists(p, min_size=n, max_size=n).map(lambda v: np.array(v).reshape(shape))
+
+
+@st.composite
+def rate_inputs(draw):
+    """``rate_terms`` arguments in the shapes its callers use: one point
+    (``key_rate``), two points with ``e_1`` (``compare``), a grid (the
+    threshold sweep) and a ``(k, n)`` broadcast of e_s against a grid."""
+    n = draw(st.integers(1, 5))
+    caller = draw(st.sampled_from(["point", "compare", "grid", "broadcast"]))
+    p_1 = draw(st.sampled_from([1.0, 0.3032653298563167]) | st.floats(0.0, 1.0))
+    size = {"point": 1, "compare": 2}.get(caller, n)
+    q_s, y_1 = draw(_probabilities((size,))), draw(_probabilities((size,)))
+    e_s_shape = (draw(st.integers(1, 3)), 1) if caller == "broadcast" else (size,)
+    e_s = draw(_probabilities(e_s_shape))
+    e_1 = draw(_probabilities((2,))) if caller == "compare" else None
+    return q_s, e_s, p_1, y_1, e_1
+
+
+class TestMatchesTheTwoCallKernel:
+    """``rate_terms`` gives the bits and shapes of the kernel with two
+    entropy calls that it replaced (``tests/reference.py``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rate_inputs())
+    @example((np.ones(2), np.array([0.0, 1.0]), 1.0, np.ones(2), None))
+    @example((np.array([0.5, 0.5]), np.array([0.05, 0.05]), 1.0, np.array([0.0, 5e-324]), None))
+    @example((np.array([0.3]), np.array([0.1]), 0.3, np.array([0.0]), np.array([0.1])))
+    @example((np.array([0.6, 0.7]), np.array([[0.0], [1.0]]), 0.5, np.array([5e-324, 1.0]), None))
+    def test_same_bits_in_all_five_outputs(self, inputs):
+        new = rate_terms(*inputs)
+        old = reference.rate_terms(*inputs)
+        assert [t.shape for t in new] == [t.shape for t in old]
+        assert [t.view(np.int64).tolist() for t in new] == [t.view(np.int64).tolist() for t in old]
 
 
 class TestKeyRateDispatch:

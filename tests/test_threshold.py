@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lfqkd import threshold
 from lfqkd.threshold import (
     CSV_HEADER,
     EmptyCurveError,
     GridSpec,
     MAX_GRID_POINTS,
     MODEL_FAMILIES,
+    ThresholdCurve,
     curve_to_csv,
     rate_at,
     solve_threshold_ed,
@@ -187,6 +189,47 @@ class TestSweepCurve:
             assert rate_at("coherent", eta, e_d_max + 2 * tol) < 0.0
 
 
+class TestSolveCost:
+    """What the bisection of one default-grid curve costs."""
+
+    @pytest.mark.parametrize("family", MODEL_FAMILIES)
+    def test_one_solve_of_31_calls_in_one_errstate(self, family, monkeypatch):
+        entries, solves = [], []
+        enter, solve = np.errstate.__enter__, threshold.find_root_bisect
+
+        def counting_enter(self):
+            entries.append(self)
+            return enter(self)
+
+        def counted_solve(f, lo, hi, tol):
+            calls, before = [], len(entries)
+
+            def counted_f(x):
+                calls.append(x.size)
+                return f(x)
+
+            roots = solve(counted_f, lo, hi, tol=tol)
+            solves.append((len(calls), len(entries) - before))
+            return roots
+
+        monkeypatch.setattr(np.errstate, "__enter__", counting_enter)
+        monkeypatch.setattr(threshold, "find_root_bisect", counted_solve)
+        sweep_curve(family)
+        # f(lo), f(hi) and 29 midpoints at tol 1e-9, none with its own errstate.
+        assert solves == [(31, 1)]
+
+
+    @pytest.mark.parametrize("family", MODEL_FAMILIES)
+    def test_chunks_do_not_change_a_bit(self, family, monkeypatch):
+        # 0.1 to 1: some chunks lie wholly below the floor, one straddles it.
+        grid = GridSpec(eta_min=0.1, eta_max=1.0, step=0.005)
+        whole = sweep_curve(family, grid)
+        monkeypatch.setattr(threshold, "SOLVE_CHUNK", 7)
+        chunked = sweep_curve(family, grid)
+        assert chunked.eta.tolist() == whole.eta.tolist()
+        assert chunked.e_d_max.view(np.int64).tolist() == whole.e_d_max.view(np.int64).tolist()
+
+
 class TestGridSpec:
     def test_default_grid(self):
         values = GridSpec().values()
@@ -254,3 +297,15 @@ class TestCsv:
             _, eta, e_d = row.split(",")
             assert abs(float(eta) - want_eta) <= 5e-10
             assert abs(float(e_d) - want_ed) <= 5e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.text(max_size=8) | st.sampled_from(["%", "%s", "%%", "a%.9fb"]),
+        st.lists(st.tuples(st.floats(), st.floats()), max_size=6),
+    )
+    def test_same_text_as_one_format_per_row(self, tag, points):
+        eta = np.array([a for a, _ in points], dtype=float)
+        e_d = np.array([b for _, b in points], dtype=float)
+        curve = ThresholdCurve(model_tag=tag, eta=eta, e_d_max=e_d)
+        rows = "".join(f"{tag},{a:.9f},{b:.9f}\n" for a, b in zip(eta.tolist(), e_d.tolist()))
+        assert curve_to_csv(curve) == f"{CSV_HEADER}\n{rows}"
