@@ -14,10 +14,11 @@ one of its choices. Explicit flags win over the config. ``compare`` always
 runs an honest channel. Outputs are deterministic for identical invocations
 and written atomically when ``--out`` is given.
 
-The parser is built once per process and reused by every ``main`` call. A
-config merge sets the subcommand's defaults for one re-parse and restores
-them afterwards, so no call leaves a trace on the parser; for the same
-reason ``main`` must not run in several threads at once.
+The parser is built once per process and reused by every ``main`` call,
+and a call is parsed once, by its subcommand's parser. A config merge sets
+the subcommand's defaults for one re-parse and restores them afterwards, so
+no call leaves a trace on the parser; for the same reason ``main`` must not
+run in several threads at once.
 
 Exit status: 0 success, 2 invalid configuration, 3 empty threshold curve,
 4 degenerate simulation (no single clicks).
@@ -63,6 +64,8 @@ DEFAULT_N_PULSES = 1_000_000
 
 SOURCE_MODELS = ("single-photon", "coherent", "coherent-memory")
 ADVERSARIES = ("none", "time-shift", "strong-pulse")
+#: The separators ``json.dumps(..., indent=2)`` puts in a flat dict; with no indent it runs in C.
+_FLAT_JSON = json.JSONEncoder(separators=(",\n  ", ": "))
 
 
 class ConfigError(ValueError):
@@ -99,7 +102,8 @@ def _json_safe(value):
 
 
 def _render_json(payload: dict) -> str:
-    return json.dumps({k: _json_safe(v) for k, v in payload.items()}, indent=2) + "\n"
+    encoded = _FLAT_JSON.encode({k: _json_safe(v) for k, v in payload.items()})
+    return "{\n  " + encoded[1:-1] + "\n}\n" if payload else "{}\n"
 
 
 def _csv_cell(value) -> str:
@@ -331,15 +335,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    """The subcommand parsers of ``parser``, by name."""
+    return parser._subparsers._group_actions[0].choices
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str] | None) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, with a subcommand's flags parsed once, by its parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    subparser = _subparsers(parser).get(argv[0]) if argv else None
+    if subparser is None:
+        return parser.parse_args(argv)
+    args, extras = subparser.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
     try:
         if args.config:
             # Config values become defaults, so explicit flags still win.
-            subparser = parser._subparsers._group_actions[0].choices[args.command]
-            with _config_defaults(subparser, args.config):
-                args = parser.parse_args(argv)
+            with _config_defaults(_subparsers(parser)[args.command], args.config):
+                args = _parse(parser, argv)
         return args.handler(args)
     except EmptyCurveError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,7 +36,8 @@ the order in which shards finish.
 
 Each shard of n pulses makes two draws, in this order:
 
-1. ``rng.bytes(n)``: one fair byte per pulse. Bit 0 is Alice's bit, bit 1
+1. ``rng.bytes(n)``: one fair byte per pulse, read from the raw 64-bit
+   outputs it consumes (``_fair_bytes``). Bit 0 is Alice's bit, bit 1
    Alice's basis, bit 2 Bob's basis and bit 3 the bit assigned to a
    no-click or double click. Bits 4-6 are the scenario's own fair bits:
    the single-click bit of a basis-mismatched pulse (honest single-photon
@@ -193,12 +194,6 @@ class TrialBatch:
         }
 
 
-def _scenario_tag(adversary: AdversaryStrategy) -> str:
-    if adversary is None:
-        return "honest"
-    return adversary.tag
-
-
 def _bit(fair, k):
     """Bit ``k`` of each pulse's fair byte, as an int8 0/1 array."""
     return (fair >> k) & 1
@@ -214,13 +209,14 @@ def _select(mask, a, b):
 
 
 def _fair_bytes(rng, n):
-    """The bytes of ``rng.bytes(n)`` as an int8 array.
+    """The bytes of ``rng.bytes(n)`` as an int8 array, from raw words.
 
-    ``rng.bytes`` draws ceil(n/4) uint32 and returns them as little-endian
-    bytes; reading those in place saves its two n-byte copies.
+    ``rng.bytes`` returns ceil(n/4) uint32 as little-endian bytes, which
+    PCG64 makes from the low, then the kept high, half of each of ceil(n/8)
+    raw outputs: read here in place. No uniform after them reads a kept half.
     """
-    words = rng.integers(0, 1 << 32, size=-(-n // 4), dtype=np.uint32)
-    return words.astype("<u4", copy=False).view(np.int8)[:n]
+    words = rng.bit_generator.random_raw(-(-n // 8))
+    return words.astype("<u8", copy=False).view(np.int8)[:n]
 
 
 def _below(rng, n, *thresholds):
@@ -331,14 +327,13 @@ def _executor(pid: int):
 def _shard_specs(n_pulses: int, seed: int) -> Iterator[tuple]:
     """(pulse count, seed sequence) of each shard, in order, made as asked for.
 
-    Shard i draws from a generator seeded by child i of ``SeedSequence(seed)``.
+    Shard i's seed is child i of ``SeedSequence(seed)`` as ``spawn`` makes
+    it, ``SeedSequence(seed, spawn_key=(i,))``: the root's entropy is ``seed``.
+    No other child is built, so a huge n_pulses is a long run, not a memory spike.
     """
-    root = np.random.SeedSequence(seed)
     for i in range(-(-n_pulses // SHARD_SIZE)):
         n = min(SHARD_SIZE, n_pulses - i * SHARD_SIZE)
-        # Child i as root.spawn(n_shards)[i] makes it, without building the
-        # other children first: a huge n_pulses is a long run, not a memory spike.
-        yield n, np.random.SeedSequence(root.entropy, spawn_key=(i,))
+        yield n, np.random.SeedSequence(seed, spawn_key=(i,))
 
 
 def _pooled(work, items, width: int) -> Iterator:
@@ -384,14 +379,16 @@ def _pulse_shards(model, adversary, n_pulses, seed, reduce) -> Iterator:
 def _tally(a: dict) -> np.ndarray:
     """Sifted pulses and sifted errors of one shard, as a (2, 3) array
     indexed by [error, ClickKind code]."""
-    matched = a["matched"]
-    matched_err = matched & (a["assigned_bit"] != a["alice_bit"])
-    counts = np.zeros((2, len(ClickKind)), dtype=np.int64)
-    for k in ClickKind:
-        is_k = a["kind"] == np.int8(k)
-        counts[0, k] = np.count_nonzero(is_k & matched)
-        counts[1, k] = np.count_nonzero(is_k & matched_err)
-    return counts
+    matched = a["matched"].view(np.int8)
+    # Bits 0 and 1 of the sifted kind flag single and double clicks. Masks are
+    # made in place: fresh 2**18-byte arrays doubled a batch's page faults.
+    double = a["kind"] * matched
+    single, err = double & 1, a["assigned_bit"] ^ a["alice_bit"]
+    double >>= 1
+    err &= matched
+    n, n_1, n_2, e = map(np.count_nonzero, (matched, single, double, err))
+    e_1, e_2 = (np.count_nonzero(np.bitwise_and(x, err, out=x)) for x in (single, double))
+    return np.array([[n - n_1 - n_2, n_1, n_2], [e - e_1 - e_2, e_1, e_2]])
 
 
 def run_trials(
@@ -414,7 +411,7 @@ def run_trials(
         n_double=n_kind[ClickKind.DOUBLE],
         n_none=n_kind[ClickKind.NO_CLICK],
         seed=seed,
-        scenario_tag=_scenario_tag(adversary),
+        scenario_tag="honest" if adversary is None else adversary.tag,
         model_tag=model.tag,
         n_generated=n_pulses,
         n_double_errors=n_err[ClickKind.DOUBLE],

@@ -9,7 +9,9 @@ per halving, kept verbatim: the new forms must give the same bits and make
 the same calls to ``f``. ``rate_terms``, with its ``_binary_entropy_kernel``
 and ``_mix``, is the rate kernel with two entropy calls that
 ``lfqkd.rates`` replaced with one, kept verbatim: the new form must give the
-same bits in all five outputs.
+same bits in all five outputs. ``_tally`` is the shard tally with one pass
+per ``ClickKind`` that ``lfqkd.simulate`` replaced with six counts, kept
+verbatim: the new form must give the same counts.
 """
 
 import math
@@ -18,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from lfqkd.numerics import NoSignChangeError
+from lfqkd.simulate import ClickKind
 
 DEFAULT_BISECT_TOL = 1e-9
 
@@ -202,3 +205,16 @@ def rate_terms(
         phase_bound = delta_1 / y_1
         pa_cost = signal * _binary_entropy_kernel(np.minimum(phase_bound, 0.5))
         return signal - ec_cost - pa_cost, ec_cost, pa_cost, phase_bound, delta_1
+
+
+def _tally(a: dict) -> np.ndarray:
+    """Sifted pulses and sifted errors of one shard, as a (2, 3) array
+    indexed by [error, ClickKind code]."""
+    matched = a["matched"]
+    matched_err = matched & (a["assigned_bit"] != a["alice_bit"])
+    counts = np.zeros((2, len(ClickKind)), dtype=np.int64)
+    for k in ClickKind:
+        is_k = a["kind"] == np.int8(k)
+        counts[0, k] = np.count_nonzero(is_k & matched)
+        counts[1, k] = np.count_nonzero(is_k & matched_err)
+    return counts

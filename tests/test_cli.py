@@ -8,6 +8,7 @@ import json
 import math
 import os
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -703,6 +704,96 @@ class TestSharedParser:
         assert captured_main(argv) == first
 
 
+# Calls whose exit code, last stderr line and sha256 of stdout + "\0" + stderr
+# are pinned: usage and parse errors, unrecognized arguments after each
+# subcommand, and flag spellings argparse accepts. Recorded with Python 3.11's
+# argparse at 80 columns; ``CONFIG`` stands for the path of a valid config.
+CONFIG = "<config>"
+PINNED_PARSES = [
+    ([], 2,
+     "lfqkd: error: the following arguments are required: command",
+     "7b6d288f89212efcb676d0b18983d378df0393ae6ea3a746e60eab77e5948f9a"),
+    (["-h"], 0,
+     "",
+     "2fb88c24c935e99f000c9e09a9857a1d90dda70e3499ad889be5e14a92053e4a"),
+    (["--he"], 0,
+     "",
+     "2fb88c24c935e99f000c9e09a9857a1d90dda70e3499ad889be5e14a92053e4a"),
+    (["bogus"], 2,
+     "lfqkd: error: argument command: invalid choice: 'bogus' (choose from 'rate',"
+     " 'threshold', 'simulate', 'compare')",
+     "7391f5c8efbcdb8e3f37fe0c20f9bf67362053bb2ab4f376634a7ef43c6dad19"),
+    (["-x", "compare"], 2,
+     "lfqkd: error: unrecognized arguments: -x",
+     "4f5e0db06c8b7c0fc2a1446f4cc665ca1afb45a552113c9a48348fc1c4651738"),
+    (["rate", "--model", "single-photon", "--bogus"], 2,
+     "lfqkd: error: unrecognized arguments: --bogus",
+     "6ad5f211510a29db3da0e1c66f53731b865e413d46085b9f8f317d41f2487c54"),
+    (["rate", "--model", "single-photon", "stray"], 2,
+     "lfqkd: error: unrecognized arguments: stray",
+     "62e3d4a2a76ca1fcb7e1701156a6f80ae9c1a22ff804d5883b4abb4676f5332d"),
+    (["threshold", "--model", "coherent", "--bogus"], 2,
+     "lfqkd: error: unrecognized arguments: --bogus",
+     "6ad5f211510a29db3da0e1c66f53731b865e413d46085b9f8f317d41f2487c54"),
+    (["threshold", "--model", "coherent", "stray"], 2,
+     "lfqkd: error: unrecognized arguments: stray",
+     "62e3d4a2a76ca1fcb7e1701156a6f80ae9c1a22ff804d5883b4abb4676f5332d"),
+    (["simulate", "--model", "single-photon", "--bogus"], 2,
+     "lfqkd: error: unrecognized arguments: --bogus",
+     "6ad5f211510a29db3da0e1c66f53731b865e413d46085b9f8f317d41f2487c54"),
+    (["simulate", "--model", "single-photon", "stray"], 2,
+     "lfqkd: error: unrecognized arguments: stray",
+     "62e3d4a2a76ca1fcb7e1701156a6f80ae9c1a22ff804d5883b4abb4676f5332d"),
+    (["compare", "--model", "single-photon", "--bogus"], 2,
+     "lfqkd: error: unrecognized arguments: --bogus",
+     "6ad5f211510a29db3da0e1c66f53731b865e413d46085b9f8f317d41f2487c54"),
+    (["compare", "--model", "single-photon", "stray"], 2,
+     "lfqkd: error: unrecognized arguments: stray",
+     "62e3d4a2a76ca1fcb7e1701156a6f80ae9c1a22ff804d5883b4abb4676f5332d"),
+    (["rate", "--model=single-photon", "--eta=0.5"], 0,
+     "",
+     "e95c03441e7d221bcd534b46cebfcb0f781363076b8cd988c5300efa97d3b9a2"),
+    (["rate", "--mod", "single-photon", "--eta", "0.5"], 0,
+     "",
+     "e95c03441e7d221bcd534b46cebfcb0f781363076b8cd988c5300efa97d3b9a2"),
+    (["rate", "--model", "coherent", "--model", "single-photon", "--eta", "0.5"], 0,
+     "",
+     "e95c03441e7d221bcd534b46cebfcb0f781363076b8cd988c5300efa97d3b9a2"),
+    (["rate", "--model", "single-photon", "--eta", "0.5", "--", "x"], 2,
+     "lfqkd: error: unrecognized arguments: -- x",
+     "a74bde2842ba05ecf08c49b23e392ece7453d1ebdbcc16ea0805f2862afadfed"),
+    (["rate", "--config", CONFIG, "--bogus"], 2,
+     "lfqkd: error: unrecognized arguments: --bogus",
+     "6ad5f211510a29db3da0e1c66f53731b865e413d46085b9f8f317d41f2487c54"),
+    (["compare", "--he"], 0,
+     "",
+     "d33e9ae788c205b3a57cccfb976a2de599de478880a1af1434ddda644b44e1e5"),
+    (["compare", "--eta"], 2,
+     "lfqkd compare: error: argument --eta: expected one argument",
+     "936107e6814093e1231441f12da4bd82f2bee487f4c2b5bce64919616cb3bc3f"),
+    (["simulate", "--n-pulses", "abc"], 2,
+     "lfqkd simulate: error: argument --n-pulses: invalid int value: 'abc'",
+     "01a5255736b477ce41d55503828d6d4096916e1bcd1815a871894669b2227e22"),
+    (["threshold", "--format", "xml"], 2,
+     "lfqkd threshold: error: argument --format: invalid choice: 'xml' (choose from 'csv', 'json')",
+     "82240ca2964803431f6853ae9b0b4c9225a1587f3ca5970d0a9edc9dbdf41683"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's wording varies by version")
+@pytest.mark.parametrize(
+    "argv, code, last_line, digest", PINNED_PARSES,
+    ids=[" ".join(map(str, case[0])) or "(none)" for case in PINNED_PARSES],
+)
+def test_parse_bytes_pinned(tmp_path, monkeypatch, argv, code, last_line, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    config = tmp_path / "rate.json"
+    config.write_text(json.dumps({"model": "single-photon", "eta": 0.5}))
+    got_code, out, err = captured_main([str(config) if a == CONFIG else a for a in argv])
+    assert (got_code, err.rstrip("\n").rsplit("\n", 1)[-1]) == (code, last_line)
+    assert hashlib.sha256((out + "\0" + err).encode()).hexdigest() == digest
+
+
 # Any float, with the edge values drawn often: NaN, infinities, zeros,
 # subnormals and values outside every flag's range.
 ANY_FLOAT = st.one_of(
@@ -716,6 +807,20 @@ ANY_INT = st.one_of(
     st.sampled_from([0, 1, -1, 10**400, -(10**400)]),
     st.integers(),
 )
+# Text with quotes, backslashes, control and non-ASCII characters drawn often.
+ANY_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\n\x1f\x7f\u2028\U0001f600')))
+
+
+@given(st.dictionaries(ANY_TEXT, st.one_of(
+    ANY_TEXT, ANY_INT, ANY_FLOAT, st.sampled_from([1e308, -1e308, 2**63, -(2**63) - 1, 2**64 + 1]),
+    st.booleans(), st.none(),
+)))
+@example({})
+def test_render_json_is_json_dumps(payload):
+    expected = json.dumps({k: cli._json_safe(v) for k, v in payload.items()}, indent=2) + "\n"
+    assert cli._render_json(payload) == expected
+
+
 # --n-pulses stays small: see TestExitCodeProperties.test_simulate.
 N_PULSES = st.integers(-2, 64)
 # ANY_FLOAT, with probabilities drawn often enough that batches also run.

@@ -40,6 +40,7 @@ from lfqkd.simulate import (
     run_trials,
     trial_records,
 )
+import reference
 from reference import binomial_upper_bound
 
 SP_MODEL = SinglePhoton(eta=0.7, e_d=0.03)
@@ -225,14 +226,56 @@ class TestBlockDraws:
         assert np.array_equal(row_0, u[0] < 0.3)
         assert np.array_equal(row_1, u[1] < 0.6)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, BLOCK + 1, SHARD_SIZE])
+    @pytest.mark.parametrize("n", [*range(1, 18), 4095, 4096, 4097, BLOCK + 1, SHARD_SIZE])
     def test_fair_bytes_are_rng_bytes(self, n):
         rng = np.random.default_rng(n)
         fair = _fair_bytes(rng, n)
         expected = np.random.default_rng(n)
         assert fair.dtype == np.int8
         assert np.array_equal(fair, np.frombuffer(expected.bytes(n), dtype=np.int8))
-        assert rng.random() == expected.random()
+        # rng.bytes may keep half a 64-bit output that no uniform reads.
+        assert rng.random(3).tolist() == expected.random(3).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1, 2**128 + 1])
+    def test_shard_seeds_are_the_spawned_children(self, seed):
+        children = np.random.SeedSequence(seed).spawn(3)
+        specs = list(_shard_specs(3 * SHARD_SIZE, seed))
+        assert [n for n, _ in specs] == [SHARD_SIZE] * 3
+        for (_, seed_seq), child in zip(specs, children):
+            assert np.array_equal(seed_seq.generate_state(4), child.generate_state(4))
+
+
+#: Weights of the three click kinds, and chances of a 1 bit or a sifted
+#: pulse: constant fields come up as often as mixed ones.
+KIND_WEIGHTS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0.5, 0.5, 0), (0.2, 0.5, 0.3)]
+BIT_CHANCES = [0.0, 0.5, 1.0]
+
+
+class TestTally:
+    """``_tally`` gives the counts of the one-pass-per-kind tally it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 64), st.integers(1, 3 * BLOCK)),
+        seed=st.integers(0, 2**32),
+        kind_weights=st.sampled_from(KIND_WEIGHTS),
+        chances=st.tuples(*[st.sampled_from(BIT_CHANCES)] * 3),
+    )
+    def test_matches_reference_tally(self, n, seed, kind_weights, chances):
+        rng = np.random.default_rng(seed)
+        p_assigned, p_alice, p_matched = chances
+        a = {
+            "kind": rng.choice(3, n, p=kind_weights).astype(np.int8),
+            "assigned_bit": (rng.random(n) < p_assigned).astype(np.int8),
+            "alice_bit": (rng.random(n) < p_alice).astype(np.int8),
+            "matched": rng.random(n) < p_matched,
+        }
+        assert np.array_equal(_tally(a), reference._tally(a))
+
+    @pytest.mark.parametrize("model, adversary", SCENARIOS)
+    def test_real_shard_matches_reference_tally(self, model, adversary):
+        a = _simulate_shard(model, adversary, SHARD_SIZE, np.random.default_rng(11))
+        assert np.array_equal(_tally(a), reference._tally(a))
 
 
 class TestPartition:
