@@ -15,10 +15,10 @@ runs an honest channel. Outputs are deterministic for identical invocations
 and written atomically when ``--out`` is given.
 
 The parser is built once per process and reused by every ``main`` call,
-and a call is parsed once, by its subcommand's parser. A config merge sets
-the subcommand's defaults for one re-parse and restores them afterwards, so
-no call leaves a trace on the parser; for the same reason ``main`` must not
-run in several threads at once.
+and a call is parsed once, by its subcommand's parser. A config file is read
+into a namespace that the call is then parsed into again: argparse fills in
+a default only where the namespace has no value, so the config stands in for
+the defaults and no call changes the parser.
 
 Exit status: 0 success, 2 invalid configuration, 3 empty threshold curve,
 4 degenerate simulation (no single clicks).
@@ -27,7 +27,6 @@ Exit status: 0 success, 2 invalid configuration, 3 empty threshold curve,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -82,8 +81,7 @@ def _emit(text: str, out: str | None) -> None:
     if os.path.basename(out) in ("", os.curdir, os.pardir) or os.path.isdir(target):
         raise ConfigError(f"--out must name a file, not a directory: {out!r}")
     directory = os.path.dirname(target)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
+    os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
@@ -112,7 +110,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        return "inf" if not math.isfinite(value) else f"{value:.9f}"
+        return f"{value:.9f}" if math.isfinite(value) else str(value)
     return str(value)
 
 
@@ -126,10 +124,8 @@ def _render(payload: dict, fmt: str) -> str:
     return _render_csv_row(payload) if fmt == "csv" else _render_json(payload)
 
 
-@contextlib.contextmanager
-def _config_defaults(subparser: argparse.ArgumentParser, path: str):
-    """Make the JSON object in ``path`` the defaults of ``subparser``'s flags
-    while the block runs, then restore the parser's own defaults.
+def _load_config(subparser: argparse.ArgumentParser, path: str) -> argparse.Namespace:
+    """The JSON object in ``path`` as a namespace of ``subparser``'s flags.
 
     Each key must be the dest of one of the subcommand's flags, and each
     value must have that flag's type and be one of its choices.
@@ -158,14 +154,7 @@ def _config_defaults(subparser: argparse.ArgumentParser, path: str):
         if flag_type is float and isinstance(value, int):
             # As the flag reads its digits: 1 is 1.0 and 10**400 is inf.
             config[key] = float(str(value))
-    saved = {key: actions[key].default for key in config}
-    try:
-        for key, value in config.items():
-            actions[key].default = value
-        yield
-    finally:
-        for key, value in saved.items():
-            actions[key].default = value
+    return argparse.Namespace(**config)
 
 
 def _require(args: argparse.Namespace, key: str) -> None:
@@ -175,15 +164,11 @@ def _require(args: argparse.Namespace, key: str) -> None:
 
 
 def _build_model(args: argparse.Namespace) -> SourceModel:
-    if args.model is None:
-        raise ConfigError("--model is required")
+    _require(args, "eta_m" if args.model == "coherent-memory" else "eta")
     if args.model == "single-photon":
-        _require(args, "eta")
         return SinglePhoton(eta=args.eta, e_d=args.ed)
     if args.model == "coherent":
-        _require(args, "eta")
         return CoherentDecoy(mu=args.mu, eta=args.eta, e_d=args.ed)
-    _require(args, "eta_m")
     return CoherentDecoyMemory(mu=args.mu, eta_c=args.eta_c, eta_m=args.eta_m, e_d=args.ed)
 
 
@@ -226,26 +211,15 @@ def _add_common_flags(parser: argparse.ArgumentParser, default_format: str) -> N
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
-    breakdown = key_rate(_build_model(args))
+    b = key_rate(_build_model(args))
     payload = {
-        "model": args.model,
-        "rate": breakdown.rate,
-        "operational_rate": breakdown.operational_rate,
-        "delta": breakdown.delta,
-        "phase_bound": breakdown.phase_bound,
-        "ec_cost": breakdown.ec_cost,
-        "pa_cost": breakdown.pa_cost,
-        "p_1": breakdown.p_1,
-        "y_1": breakdown.y_1,
-        "delta_1": breakdown.delta_1,
+        "model": args.model, "rate": b.rate, "operational_rate": b.operational_rate, **vars(b)
     }
     _emit(_render(payload, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    if args.model is None:
-        raise ConfigError("--model is required")
     grid = GridSpec(eta_min=args.eta_min, eta_max=args.eta_max, step=args.step)
     curve = sweep_curve(args.model, grid=grid, tol=args.tol, mu=args.mu, eta_c=args.eta_c)
     if args.format == "json":
@@ -340,13 +314,17 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict:
     return parser._subparsers._group_actions[0].choices
 
 
-def _parse(parser: argparse.ArgumentParser, argv: list[str] | None) -> argparse.Namespace:
-    """``parser.parse_args(argv)``, with a subcommand's flags parsed once, by its parser."""
+def _parse(
+    parser: argparse.ArgumentParser,
+    argv: list[str] | None,
+    namespace: argparse.Namespace | None = None,
+) -> argparse.Namespace:
+    """``parser.parse_args(argv, namespace)``; a subcommand's flags are parsed by its parser."""
     argv = sys.argv[1:] if argv is None else list(argv)
     subparser = _subparsers(parser).get(argv[0]) if argv else None
     if subparser is None:
-        return parser.parse_args(argv)
-    args, extras = subparser.parse_known_args(argv[1:])
+        return parser.parse_args(argv, namespace)
+    args, extras = subparser.parse_known_args(argv[1:], namespace)
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = argv[0]
@@ -358,9 +336,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse(parser, argv)
     try:
         if args.config:
-            # Config values become defaults, so explicit flags still win.
-            with _config_defaults(_subparsers(parser)[args.command], args.config):
-                args = _parse(parser, argv)
+            # argparse sets what the config left unset, and every flag given.
+            config = _load_config(_subparsers(parser)[args.command], args.config)
+            args = _parse(parser, argv, config)
+        if args.model is None:
+            raise ConfigError("--model is required")
         return args.handler(args)
     except EmptyCurveError as exc:
         print(f"error: {exc}", file=sys.stderr)

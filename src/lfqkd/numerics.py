@@ -3,10 +3,10 @@
 Every rate formula in this package reduces to binary-entropy terms, and the
 tolerance-threshold curves are produced by locating sign changes of a rate
 function, so these two primitives are kept exact about their edge cases.
-Both also come in an array form, which the threshold sweep uses to solve a
-whole grid of points at once. On such a grid numpy's per-call overhead
-outweighs the arithmetic, so the array forms use no masks, and a bisection
-enters ``np.errstate`` once per solve and tests for stops only where one can occur.
+The threshold sweep solves a whole grid at once, where numpy's per-call
+overhead outweighs the arithmetic: so ``_binary_entropy_kernel`` uses no masks
+and runs in its caller's ``np.errstate``, and a bisection enters one errstate
+per solve and tests for stops only where one can occur.
 """
 
 from __future__ import annotations
@@ -38,22 +38,19 @@ def binary_entropy(x: float) -> float:
 
 
 def _binary_entropy_kernel(x: np.ndarray) -> np.ndarray:
-    """``binary_entropy_array`` outside ``np.errstate``, so numpy may warn: the
-    expression is NaN at x = 0, 1 and outside [0, 1], and ``fmax`` takes NaN to 0."""
-    y = 1.0 - x
-    h = -x * np.log2(x)
-    h -= y * np.log2(y)
-    return np.fmax(h, 0.0, out=h)
-
-
-def binary_entropy_array(x: np.ndarray) -> np.ndarray:
     """Elementwise ``binary_entropy`` of a float array of one or more
     dimensions, H2(0) = H2(1) = 0. The arguments are not checked: callers pass
     probabilities they have already validated, and any other x, NaN included,
     gives 0. numpy's log2 may differ from ``math.log2`` in the last ulp.
+
+    Callers run it inside their own ``np.errstate``, as numpy would otherwise
+    warn: the expression is NaN at x = 0, 1 and outside [0, 1], and ``fmax``
+    takes NaN to 0.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _binary_entropy_kernel(x)
+    y = 1.0 - x
+    h = -x * np.log2(x)
+    h -= y * np.log2(y)
+    return np.fmax(h, 0.0, out=h)
 
 
 def _safe_halvings(lo: np.ndarray, hi: np.ndarray, tol: float) -> int:

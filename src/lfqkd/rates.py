@@ -59,10 +59,6 @@ MODEL_FAMILIES = (
 )
 
 
-class DegenerateInputError(ValueError):
-    """Raised when an input makes a formula vacuous (division by zero)."""
-
-
 def check_inputs(**inputs: float | None) -> None:
     """The one input check of the rate paths, in the order given.
 
@@ -81,7 +77,7 @@ def check_inputs(**inputs: float | None) -> None:
         elif not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {value}")
     if inputs.get("eta_c") == 0.0:
-        raise DegenerateInputError("eta_c = 0: the memory never triggers")
+        raise ValueError("eta_c = 0: the memory never triggers")
 
 
 @dataclass(frozen=True)
@@ -280,9 +276,9 @@ def channel_terms(tag: str, eta: np.ndarray, mu: float = math.nan, eta_c: float 
     neglecting double clicks, where for the memory ``eta`` is the readout
     probability eta_m and every term is conditional on the trigger.
     ``single-photon-memory`` is the single-photon source with eta_m in the
-    role of eta. P1 is a float, the other two are arrays like ``eta``. Once
-    ``eta_c * mu`` underflows, the trigger probability rounds to 0 and P1
-    takes its limit exp(-mu). The inputs are not checked.
+    role of eta. P1 is a float, the other two are like ``eta``, an array or a
+    float64. Once ``eta_c * mu`` underflows, the trigger probability rounds
+    to 0 and P1 takes its limit exp(-mu). The inputs are not checked.
     """
     if tag == "single-photon-memory":
         tag = "single-photon"
@@ -319,9 +315,9 @@ def rate_terms(
     delta_1 is the overall QBER delta. Y1 = 0 needs no branch: the phase
     bound is inf (as where a subnormal Y1 overflows it), the clamp takes it
     to 1/2 and the signal P1*Y1 = 0 makes pa_cost 0, so the rate is -ec_cost
-    (0 for the single-click formula). The inputs are not checked; rate and
-    the costs have their broadcast shape. The body is ``_rate_kernel`` in
-    one ``np.errstate``; the threshold bisection calls the kernel in its own.
+    (0 for the single-click formula). The inputs, float64 arrays or scalars,
+    are not checked; rate and the costs have their broadcast shape. The body
+    is ``_rate_kernel`` in one ``np.errstate``; the bisection calls it in its own.
     """
     e_1 = e_s if e_1 is None else e_1
     shape = np.broadcast(q_s, e_s, p_1, y_1, e_1).shape  # np.broadcast_shapes costs 6x more
@@ -336,7 +332,7 @@ def _rate_kernel(q_s, e_s, e_1, y_1, signal, assigned, shape):
     phase_bound = delta_1 / y_1
     entropy_args = np.empty((2,) + shape)
     entropy_args[0] = e_s
-    np.minimum(phase_bound, 0.5, out=entropy_args[1])
+    np.minimum(phase_bound, 0.5, out=entropy_args[1, ...])  # a view also when shape is ()
     entropies = _binary_entropy_kernel(entropy_args)
     ec_cost = q_s * entropies[0]
     pa_cost = signal * entropies[1]
@@ -353,14 +349,14 @@ def model_terms(model: SourceModel) -> tuple[float, float, float]:
         eta, mu, eta_c = model.eta_m, model.mu, model.eta_c
     else:
         raise TypeError(f"unknown source model: {model!r}")
-    q_s, p_1, y_1 = channel_terms(model.tag, np.array([eta], dtype=float), mu, eta_c)
-    return q_s.item(), p_1, y_1.item()
+    return tuple(map(float, channel_terms(model.tag, np.float64(eta), mu, eta_c)))
 
 
 def _breakdown(q_s, e_s, p_1, y_1, single_click: bool) -> KeyRateBreakdown:
-    """``rate_terms`` at one point; the single-click formula has no P1, Y1, delta_1."""
-    terms = rate_terms(*(np.array([v], dtype=float) for v in (q_s, e_s, p_1, y_1)))
-    rate, ec_cost, pa_cost, phase_bound, delta_1 = (t.item() for t in terms)
+    """``rate_terms`` at one point; the single-click formula has no P1, Y1, delta_1.
+    The point is float64 scalars: a float Y1 = 0 would raise in delta_1/Y1."""
+    terms = rate_terms(*map(np.float64, (q_s, e_s, p_1, y_1)))
+    rate, ec_cost, pa_cost, phase_bound, delta_1 = map(float, terms)
     extra = {} if single_click else {"p_1": p_1, "y_1": y_1, "delta_1": delta_1}
     return KeyRateBreakdown(rate, _mix(e_s, q_s), phase_bound, ec_cost, pa_cost, **extra)
 

@@ -251,7 +251,7 @@ def _honest_hits(model, fair, alice_bits, matched, n, rng):
         wrong = _select(matched, *_below(rng, n, p_w, p_h))
         return correct + wrong, alice_bits ^ wrong
     # CoherentDecoyMemory: trials are conditioned on the trigger.
-    eta = model.eta if isinstance(model, SinglePhoton) else model.eta_m
+    eta = model_terms(model)[0]  # Q_s: eta, or eta_m for the memory
     clicked, flips = _below(rng, n, eta, eta * model.e_d)
     return clicked, _select(matched, alice_bits ^ flips, _bit(fair, 4))
 

@@ -93,33 +93,6 @@ class ThresholdCurve:
     e_d_max: np.ndarray
 
 
-def rate_at(
-    family: str,
-    eta: float,
-    e_d: float,
-    mu: float = DEFAULT_MU,
-    eta_c: float = DEFAULT_ETA_C,
-) -> float:
-    """Raw key rate of ``family`` at transmittance ``eta`` and error ``e_d``.
-
-    ``eta`` plays the role of the memory readout probability for the two
-    memory families. The inputs are checked, then the rate kernel is
-    evaluated at the one point.
-    """
-    _check_family(family, mu, eta_c, eta=eta, e_d=e_d)
-    q_s, p_1, y_1 = channel_terms(family, np.array([eta], dtype=float), mu, eta_c)
-    return rate_terms(q_s, np.array([e_d], dtype=float), p_1, y_1)[0].item()
-
-
-def _check_family(family: str, mu: float, eta_c: float, **probabilities: float) -> None:
-    """``check_inputs`` on ``probabilities`` and on the ``eta_c`` and ``mu`` ``family`` uses."""
-    check_inputs(
-        **probabilities,
-        eta_c=eta_c if family == "coherent-memory" else None,
-        mu=mu if family in ("coherent", "coherent-memory") else None,
-    )
-
-
 def _solve_grid(
     family: str, etas: np.ndarray, tol: float, mu: float, eta_c: float
 ) -> np.ndarray:
@@ -130,7 +103,10 @@ def _solve_grid(
     bits), drops those whose rate at e_d = 0 is already nonpositive and
     bisects the rest together over e_d in [0, 1/2] on the rate kernel.
     """
-    _check_family(family, mu, eta_c)
+    check_inputs(
+        eta_c=eta_c if family == "coherent-memory" else None,
+        mu=mu if family in ("coherent", "coherent-memory") else None,
+    )
     q_s, p_1, y_1 = channel_terms(family, etas, mu, eta_c)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")

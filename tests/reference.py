@@ -2,7 +2,8 @@
 
 ``reference_rate`` writes the paper's key rate again in scalar ``math``
 (``log2``, ``expm1``), in the paper's order of terms and with no code from
-``lfqkd``. ``binomial_upper_bound`` is an exact binomial tail.
+``lfqkd``. ``model_rate`` is not a reference: it is the rate of ``lfqkd``'s
+own model path, by family. ``binomial_upper_bound`` is an exact binomial tail.
 ``binary_entropy_array`` and ``find_root_bisect`` are the masked entropy and
 the bisection loop that ``lfqkd.numerics`` replaced with fewer numpy calls
 per halving, kept verbatim: the new forms must give the same bits and make
@@ -20,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from lfqkd.numerics import NoSignChangeError
+from lfqkd.rates import CoherentDecoy, CoherentDecoyMemory, SinglePhoton, key_rate
 from lfqkd.simulate import ClickKind
 
 DEFAULT_BISECT_TOL = 1e-9
@@ -49,6 +51,24 @@ def reference_rate(family, eta, e_d, mu=0.5, eta_c=0.01):
         return -q_s * _h2(e_d)
     delta_1 = e_d * y_1 + 0.5 * (1.0 - y_1)
     return p_1 * y_1 * (1.0 - _h2(min(delta_1 / y_1, 0.5))) - q_s * _h2(e_d)
+
+
+def model_rate(family, eta, e_d, mu=0.5, eta_c=0.01):
+    """``key_rate(model).rate`` of the model of ``family`` at (``eta``, ``e_d``).
+
+    Not an independent reference: this is ``lfqkd``'s model path, which checks
+    the inputs the family uses. ``eta`` is the readout probability eta_m for
+    the memory families; the single-photon memory is the single-photon model.
+    """
+    if family in ("single-photon", "single-photon-memory"):
+        model = SinglePhoton(eta=eta, e_d=e_d)
+    elif family == "coherent":
+        model = CoherentDecoy(mu=mu, eta=eta, e_d=e_d)
+    elif family == "coherent-memory":
+        model = CoherentDecoyMemory(mu=mu, eta_c=eta_c, eta_m=eta, e_d=e_d)
+    else:
+        raise ValueError(f"unknown model family {family!r}")
+    return key_rate(model).rate
 
 
 def binomial_upper_bound(n, p, level=THREE_SIGMA_TAIL):

@@ -27,8 +27,8 @@ from lfqkd.simulate import (
     empirical_stats,
     run_trials,
 )
-from lfqkd.threshold import MODEL_FAMILIES, rate_at, solve_threshold_ed, sweep_curve
-from reference import binomial_upper_bound
+from lfqkd.threshold import MODEL_FAMILIES, solve_threshold_ed, sweep_curve
+from reference import binomial_upper_bound, model_rate
 
 ATTACK_SEED = 6
 HONEST_SEEDS = range(100)
@@ -157,8 +157,8 @@ def test_threshold_curve_shapes():
     ok_bracket = True
     for family, curve in curves.items():
         for eta, e_d_max in zip(curve.eta.tolist(), curve.e_d_max.tolist()):
-            lo = rate_at(family, eta, max(e_d_max - 2 * tol, 0.0))
-            hi = rate_at(family, eta, min(e_d_max + 2 * tol, 0.5))
+            lo = model_rate(family, eta, max(e_d_max - 2 * tol, 0.0))
+            hi = model_rate(family, eta, min(e_d_max + 2 * tol, 0.5))
             ok_bracket = ok_bracket and lo >= 0.0 and hi < 0.0
     check("every emitted point sign-brackets the zero crossing", ok_bracket)
     check("full four-curve sweep runs in < 10 s", elapsed < 10.0, f"{elapsed:.2f} s")

@@ -507,6 +507,23 @@ class TestCompareCommand:
         assert run_cli("compare", "--config", str(config)) == EXIT_INVALID_CONFIG
         assert "unknown config keys: adversary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, column, cell",
+        [
+            (["--model", "coherent", "--eta", "1", "--mu", "50", "--ed", "0.02",
+              "--n-pulses", "16384"], "q_s_z_score", "-inf"),
+            (["--model", "single-photon", "--eta", "0", "--ed", "0", "--n-pulses", "1000"],
+             "e_s_z_score", "nan"),
+        ],
+    )
+    def test_csv_keeps_nan_and_negative_inf(self, capsys, flags, column, cell):
+        # JSON has null for both; CSV spells the value as Python does.
+        assert run_cli("compare", *flags) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)[column] is None
+        assert run_cli("compare", *flags, "--format", "csv") == EXIT_OK
+        header, row = capsys.readouterr().out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))[column] == cell
+
     @pytest.mark.parametrize("model, seed", sorted(COMPARE_SHA256))
     def test_output_bytes_pinned(self, capsys, model, seed):
         assert run_cli(
@@ -694,6 +711,49 @@ class TestSharedParser:
         config.write_text(json.dumps({"model": "coherent", "eta": 0.5, "ed": 0.125, "mu": 0.75}))
         assert captured_main(["rate", "--config", str(config)])[0] == EXIT_OK
         assert captured_main(["rate", "--help"]) == before
+
+    def test_call_inside_a_config_parse_sees_the_real_defaults(self, tmp_path, monkeypatch):
+        # A plain call made while a config call is being parsed again must not
+        # read the config's values (csv, e_d 0.3) as its defaults.
+        config = tmp_path / "leak.json"
+        config.write_text(json.dumps({"format": "csv", "ed": 0.3}))
+        parse, calls, nested = cli._parse, [], []
+
+        def probe(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:  # the config call's second parse
+                nested.append(captured_main(["rate", "--model", "single-photon", "--eta", "1"]))
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_parse", probe)
+        code, out, _ = captured_main(
+            ["rate", "--config", str(config), "--model", "single-photon", "--eta", "1"]
+        )
+        header, row = out.splitlines()
+        assert (code, dict(zip(header.split(","), row.split(",")))["delta"]) == (
+            EXIT_OK, "0.300000000"
+        )
+        [(nested_code, nested_out, nested_err)] = nested
+        assert (nested_code, nested_err) == (EXIT_OK, "")
+        assert json.loads(nested_out)["delta"] == 0.0
+
+    def test_no_call_changes_a_default(self, tmp_path):
+        def defaults(parser):
+            return {
+                (name, action.dest): action.default
+                for name, sub in cli._subparsers(parser).items()
+                for action in sub._actions
+            }
+
+        fresh = defaults(cli.build_parser.__wrapped__())
+        bad_config = tmp_path / "bad.json"
+        bad_config.write_text(json.dumps({"model": "single-photon", "eta": 2.0}))
+        for command, (_, plain, override) in SHARED_PARSER_CASES.items():
+            config = write_config(tmp_path, command)
+            for argv in ([command, "--config", config], [command, "--config", config, *override],
+                         [command, "--config", str(bad_config)], [command, *plain]):
+                captured_main(argv)
+                assert defaults(cli.build_parser()) == fresh, argv
 
     @pytest.mark.parametrize("command", sorted(SHARED_PARSER_CASES))
     def test_same_argv_twice_gives_identical_bytes(self, tmp_path, command):

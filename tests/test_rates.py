@@ -12,7 +12,6 @@ from lfqkd.numerics import binary_entropy, find_root_bisect
 from lfqkd.rates import (
     CoherentDecoy,
     CoherentDecoyMemory,
-    DegenerateInputError,
     DetectionStats,
     RANDOM_ASSIGNMENT_ERROR_RATE,
     SinglePhoton,
@@ -197,7 +196,7 @@ class TestChannelModels:
 
     def test_memory_degenerate_channel(self):
         # The model rejects eta_c = 0, where the trigger never fires and P1 is 0/0.
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(ValueError, match="eta_c = 0"):
             CoherentDecoyMemory(mu=0.5, eta_c=0.0, eta_m=0.5, e_d=0.0)
 
     @pytest.mark.parametrize("mu, eta_c", [(1e-300, 1e-300), (0.4, 5e-324)])
@@ -408,6 +407,66 @@ class TestRateIdentity:
             signal = breakdown.p_1 * breakdown.y_1
         expected = signal - breakdown.ec_cost - breakdown.pa_cost
         assert abs(breakdown.rate - expected) <= 1e-12
+
+
+# Probabilities with their edges drawn often, and coherent sources up to
+# mu = 700, where mu*exp(-mu) is near the bottom of the normal range.
+EDGE_PROBABILITY = PROBABILITY | st.sampled_from(
+    [0.0, 5e-324, 2.0**-1022, 0.5, 1.0 - 2.0**-53, 1.0]
+)
+ONE_POINT_MU = st.floats(1e-300, 700.0)
+ONE_POINT_MODELS = st.one_of(
+    st.builds(SinglePhoton, eta=EDGE_PROBABILITY, e_d=EDGE_PROBABILITY),
+    st.builds(CoherentDecoy, mu=ONE_POINT_MU, eta=EDGE_PROBABILITY, e_d=EDGE_PROBABILITY),
+    st.builds(
+        CoherentDecoyMemory,
+        mu=ONE_POINT_MU,
+        eta_c=st.sampled_from([5e-324, 1.0]) | st.floats(0.0, 1.0, exclude_min=True),
+        eta_m=EDGE_PROBABILITY,
+        e_d=EDGE_PROBABILITY,
+    ),
+)
+
+
+def _float_fields(breakdown):
+    """The fields of ``breakdown`` that are set, each a Python float."""
+    fields = [v for v in vars(breakdown).values() if v is not None]
+    assert all(type(v) is float for v in fields)
+    return fields
+
+
+def _bits(values):
+    return np.hstack(values).view(np.int64).tolist()
+
+
+class TestOnePointMatchesTheGrid:
+    """A one-point rate runs the kernel on float64 scalars; every float it
+    reports has the bits of ``rate_terms`` over one-element arrays."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=ONE_POINT_MODELS)
+    def test_key_rate(self, model):
+        eta = model.eta_m if isinstance(model, CoherentDecoyMemory) else model.eta
+        q_s, p_1, y_1 = channel_terms(
+            model.tag, np.array([eta]), getattr(model, "mu", math.nan),
+            getattr(model, "eta_c", math.nan),
+        )
+        e_d = np.array([model.e_d])
+        rate, ec_cost, pa_cost, phase_bound, delta_1 = rate_terms(q_s, e_d, p_1, y_1)
+        # The overall QBER is delta_1 of the single-click formula.
+        expected = [rate, rate_terms(q_s, e_d, 1.0, q_s)[4], phase_bound, ec_cost, pa_cost]
+        if not isinstance(model, SinglePhoton):
+            expected += [p_1, y_1, delta_1]
+        assert _bits(_float_fields(key_rate(model))) == _bits(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(q_s=EDGE_PROBABILITY, e_s=EDGE_PROBABILITY)
+    def test_key_rate_single_click(self, q_s, e_s):
+        q, e = np.array([q_s]), np.array([e_s])
+        rate, ec_cost, pa_cost, phase_bound, delta = rate_terms(q, e, 1.0, q)
+        breakdown = key_rate_single_click(DetectionStats(q_s=q_s, e_s=e_s))
+        expected = [rate, delta, phase_bound, ec_cost, pa_cost]
+        assert _bits(_float_fields(breakdown)) == _bits(expected)
 
 
 class TestQuietAtEdges:

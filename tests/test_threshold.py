@@ -13,11 +13,10 @@ from lfqkd.threshold import (
     MODEL_FAMILIES,
     ThresholdCurve,
     curve_to_csv,
-    rate_at,
     solve_threshold_ed,
     sweep_curve,
 )
-from reference import reference_rate
+from reference import model_rate, reference_rate
 
 # Root of 1 - 2*H2(x) on (0, 1/2); mpmath, 40 digits.
 SINGLE_PHOTON_CEILING = 0.1100278644383596
@@ -29,7 +28,7 @@ def scan_threshold(family, eta, step=1e-5):
     n = int(round(0.5 / step))
     for i in range(n + 1):
         e_d = i * step
-        if rate_at(family, eta, e_d) >= 0.0:
+        if model_rate(family, eta, e_d) >= 0.0:
             best = e_d
         else:
             break
@@ -53,8 +52,8 @@ class TestSolveThreshold:
         for eta in (0.6, 0.8, 1.0):
             e_d_max = solve_threshold_ed(family, eta, tol=tol)
             assert e_d_max is not None
-            assert rate_at(family, eta, max(e_d_max - 2 * tol, 0.0)) >= 0.0
-            assert rate_at(family, eta, min(e_d_max + 2 * tol, 0.5)) < 0.0
+            assert model_rate(family, eta, max(e_d_max - 2 * tol, 0.0)) >= 0.0
+            assert model_rate(family, eta, min(e_d_max + 2 * tol, 0.5)) < 0.0
 
     @pytest.mark.parametrize("family", MODEL_FAMILIES)
     @pytest.mark.parametrize("eta", [0.7, 1.0])
@@ -92,14 +91,14 @@ class TestRateProperties:
     @given(family=FAMILY, eta=ETA, mu=MU, eta_c=ETA_C)
     def test_rate_nonpositive_at_half(self, family, eta, mu, eta_c):
         # The bisection bracket [0, 1/2] holds the sign change only if so.
-        assert rate_at(family, eta, 0.5, mu=mu, eta_c=eta_c) <= 0.0
+        assert model_rate(family, eta, 0.5, mu=mu, eta_c=eta_c) <= 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(family=FAMILY, eta=ETA, mu=MU, eta_c=ETA_C, e_a=E_D, e_b=E_D)
     def test_rate_nonincreasing_in_ed(self, family, eta, mu, eta_c, e_a, e_b):
         lo, hi = sorted((e_a, e_b))
-        rate_lo = rate_at(family, eta, lo, mu=mu, eta_c=eta_c)
-        rate_hi = rate_at(family, eta, hi, mu=mu, eta_c=eta_c)
+        rate_lo = model_rate(family, eta, lo, mu=mu, eta_c=eta_c)
+        rate_hi = model_rate(family, eta, hi, mu=mu, eta_c=eta_c)
         assert rate_hi <= rate_lo + 1e-12
 
 
@@ -185,8 +184,8 @@ class TestSweepCurve:
         tol = 1e-9
         curve = sweep_curve("coherent", grid=GridSpec(eta_min=0.6, eta_max=1.0, step=0.05))
         for eta, e_d_max in zip(curve.eta.tolist(), curve.e_d_max.tolist()):
-            assert rate_at("coherent", eta, max(e_d_max - 2 * tol, 0.0)) >= 0.0
-            assert rate_at("coherent", eta, e_d_max + 2 * tol) < 0.0
+            assert model_rate("coherent", eta, max(e_d_max - 2 * tol, 0.0)) >= 0.0
+            assert model_rate("coherent", eta, e_d_max + 2 * tol) < 0.0
 
 
 class TestSolveCost:
