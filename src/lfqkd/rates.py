@@ -41,11 +41,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar
 
 import numpy as np
 
-from .numerics import _binary_entropy_kernel, binary_entropy
+from .numerics import _binary_entropy_kernel
+from .numerics import binary_entropy  # noqa: F401  -- not called here; bench/tracing.py patches it
 
 #: Error rate e_0 of a uniformly assigned bit, fixed by construction.
 RANDOM_ASSIGNMENT_ERROR_RATE = 0.5
@@ -63,8 +64,8 @@ def check_inputs(**inputs: float | None) -> None:
     """The one input check of the rate paths, in the order given.
 
     ``mu`` must be positive and finite, and every other input a probability
-    in [0, 1]; an input left at None is not used and not checked. Last, an
-    ``eta_c`` of 0 is degenerate: the memory would never trigger.
+    in [0, 1], not -0.0; an input left at None is not used and not checked.
+    Last, an ``eta_c`` of 0 is degenerate: the memory would never trigger.
     """
     for name, value in inputs.items():
         if value is None:
@@ -74,7 +75,7 @@ def check_inputs(**inputs: float | None) -> None:
                 raise ValueError(
                     f"mu must be positive and finite for a coherent source, got {value}"
                 )
-        elif not 0.0 <= value <= 1.0:
+        elif not 0.0 <= value <= 1.0 or math.copysign(1.0, value) < 0.0:
             raise ValueError(f"{name} must be in [0, 1], got {value}")
     if inputs.get("eta_c") == 0.0:
         raise ValueError("eta_c = 0: the memory never triggers")
@@ -120,6 +121,8 @@ class SinglePhoton:
     e_d: float
 
     tag: ClassVar[str] = "single-photon"
+    mu: ClassVar[float] = math.nan
+    eta_c: ClassVar[float] = math.nan
 
     def __post_init__(self) -> None:
         self.system_params()
@@ -137,6 +140,7 @@ class CoherentDecoy:
     e_d: float
 
     tag: ClassVar[str] = "coherent"
+    eta_c: ClassVar[float] = math.nan
 
     def __post_init__(self) -> None:
         self.system_params()
@@ -160,6 +164,11 @@ class CoherentDecoyMemory:
 
     tag: ClassVar[str] = "coherent-memory"
 
+    @property
+    def eta(self) -> float:
+        """The readout probability ``eta_m``, in the role ``channel_terms`` gives eta."""
+        return self.eta_m
+
     def __post_init__(self) -> None:
         self.system_params()
 
@@ -167,7 +176,9 @@ class CoherentDecoyMemory:
         return SystemParams(e_d=self.e_d, mu=self.mu, eta_c=self.eta_c, eta_m=self.eta_m)
 
 
-SourceModel = Union[SinglePhoton, CoherentDecoy, CoherentDecoyMemory]
+#: A source model reads as ``(tag, eta, e_d, mu, eta_c)``: the inputs of ``channel_terms``
+#: and the error rate, with NaN for an unused ``mu`` or ``eta_c``. Consumers branch on ``tag``.
+SourceModel = SinglePhoton | CoherentDecoy | CoherentDecoyMemory
 
 
 @dataclass(frozen=True)
@@ -221,27 +232,6 @@ def _assigned(q):
 def _mix(e, q, assigned=None):
     """Error rate e*q + ``_assigned(q)`` of bits, a fraction q at error rate e, the rest random."""
     return e * q + (_assigned(q) if assigned is None else assigned)
-
-
-def qber(stats: DetectionStats) -> float:
-    """Overall QBER delta = E_s*Q_s + e_0*(1 - Q_s) with e_0 = 1/2.
-
-    The second term is the error contribution of the uniformly assigned bits
-    on no-clicks and double clicks. The result is a convex combination of
-    ``e_s`` and ``e_0`` and therefore lies between them.
-    """
-    return _mix(stats.e_s, stats.q_s)
-
-
-def rate_basis_independent_baseline(delta: float) -> float:
-    """Key rate 1 - 2*H2(delta) of a basis-independent source at QBER delta.
-
-    With equal bit and phase error rates the error-correction and
-    privacy-amplification costs coincide. The entropy argument is clamped at
-    1/2, so the result floors at -1.
-    """
-    check_inputs(delta=delta)
-    return 1.0 - 2.0 * binary_entropy(min(delta, 0.5))
 
 
 def coherent_fire_probabilities(mu: float, eta: float, e_d: float) -> tuple[float, float, float]:
@@ -341,15 +331,10 @@ def _rate_kernel(q_s, e_s, e_1, y_1, signal, assigned, shape):
 
 def model_terms(model: SourceModel) -> tuple[float, float, float]:
     """``channel_terms`` ``(Q_s, P1, Y1)`` at the operating point of ``model``."""
-    if isinstance(model, SinglePhoton):
-        eta, mu, eta_c = model.eta, math.nan, math.nan
-    elif isinstance(model, CoherentDecoy):
-        eta, mu, eta_c = model.eta, model.mu, math.nan
-    elif isinstance(model, CoherentDecoyMemory):
-        eta, mu, eta_c = model.eta_m, model.mu, model.eta_c
-    else:
+    if not isinstance(model, SourceModel):
         raise TypeError(f"unknown source model: {model!r}")
-    return tuple(map(float, channel_terms(model.tag, np.float64(eta), mu, eta_c)))
+    terms = channel_terms(model.tag, np.float64(model.eta), model.mu, model.eta_c)
+    return tuple(map(float, terms))
 
 
 def _breakdown(q_s, e_s, p_1, y_1, single_click: bool) -> KeyRateBreakdown:
@@ -373,4 +358,4 @@ def key_rate_single_click(stats: DetectionStats) -> KeyRateBreakdown:
 def key_rate(model: SourceModel) -> KeyRateBreakdown:
     """Evaluate the key rate of a source model through its channel model."""
     q_s, p_1, y_1 = model_terms(model)
-    return _breakdown(q_s, model.e_d, p_1, y_1, single_click=isinstance(model, SinglePhoton))
+    return _breakdown(q_s, model.e_d, p_1, y_1, single_click=model.tag == "single-photon")

@@ -83,10 +83,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .rates import (
-    CoherentDecoy,
-    CoherentDecoyMemory,
     DetectionStats,
-    SinglePhoton,
     SourceModel,
     coherent_fire_probabilities,
     key_rate_single_click,
@@ -241,7 +238,7 @@ def _below(rng, n, *thresholds):
 
 def _honest_hits(model, fair, alice_bits, matched, n, rng):
     """Click kinds and single-click bits for the honest channel of ``model``."""
-    if isinstance(model, CoherentDecoy):
+    if model.tag == "coherent":
         # Poisson splitting: the detector of Alice's bit and the other one
         # fire independently, with chance p_c and p_w on a matched pulse and
         # p_h each on a mismatched one. Their uniforms are the two rows of
@@ -250,9 +247,8 @@ def _honest_hits(model, fair, alice_bits, matched, n, rng):
         correct = _select(matched, *_below(rng, n, p_c, p_h))
         wrong = _select(matched, *_below(rng, n, p_w, p_h))
         return correct + wrong, alice_bits ^ wrong
-    # CoherentDecoyMemory: trials are conditioned on the trigger.
-    eta = model_terms(model)[0]  # Q_s: eta, or eta_m for the memory
-    clicked, flips = _below(rng, n, eta, eta * model.e_d)
+    # Single photon, or the memory at eta = eta_m with trials conditioned on the trigger.
+    clicked, flips = _below(rng, n, model.eta, model.eta * model.e_d)
     return clicked, _select(matched, alice_bits ^ flips, _bit(fair, 4))
 
 
@@ -364,7 +360,7 @@ def _pulse_shards(model, adversary, n_pulses, seed, reduce) -> Iterator:
         raise ValueError(f"n_pulses must be positive, got {n_pulses}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if not isinstance(model, (SinglePhoton, CoherentDecoy, CoherentDecoyMemory)):
+    if not isinstance(model, SourceModel):
         raise TypeError(f"unknown source model: {model!r}")
 
     def shard(spec):
@@ -517,16 +513,14 @@ def compare_to_analytic(model: SourceModel, batch: TrialBatch) -> ComparisonRepo
     # kernel call. Every single click of a single-photon source is a single
     # photon, so the batch's Q_s and E_s are also its Y1 and e_1; the other
     # sources keep the model's P1, Y1 and e_1 = e_d.
-    single = isinstance(model, SinglePhoton)
+    single = model.tag == "single-photon"
     analytic_rate, empirical_rate = rate_terms(
         np.array([q_s, emp.q_s]), np.array([model.e_d, emp.e_s]), p_1,
         np.array([y_1, emp.q_s if single else y_1]),
         np.array([model.e_d, emp.e_s if single else model.e_d]),
     )[0].tolist()
-    budget = 0.0
-    if isinstance(model, CoherentDecoy):
-        lam = model.eta * model.mu
-        budget = q_s - lam * math.exp(-lam)
+    lam = model.eta * model.mu  # read for the coherent source only
+    budget = q_s - lam * math.exp(-lam) if model.tag == "coherent" else 0.0
 
     q_z = _z_score(emp.q_s, q_s, batch.n_pulses)
     if batch.is_degenerate:

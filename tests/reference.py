@@ -2,7 +2,8 @@
 
 ``reference_rate`` writes the paper's key rate again in scalar ``math``
 (``log2``, ``expm1``), in the paper's order of terms and with no code from
-``lfqkd``. ``model_rate`` is not a reference: it is the rate of ``lfqkd``'s
+``lfqkd``; ``baseline_rate`` is its basis-independent case at Q_s = 1.
+``model_rate`` is not a reference: it is the rate of ``lfqkd``'s
 own model path, by family. ``binomial_upper_bound`` is an exact binomial tail.
 ``binary_entropy_array`` and ``find_root_bisect`` are the masked entropy and
 the bisection loop that ``lfqkd.numerics`` replaced with fewer numpy calls
@@ -51,6 +52,12 @@ def reference_rate(family, eta, e_d, mu=0.5, eta_c=0.01):
         return -q_s * _h2(e_d)
     delta_1 = e_d * y_1 + 0.5 * (1.0 - y_1)
     return p_1 * y_1 * (1.0 - _h2(min(delta_1 / y_1, 0.5))) - q_s * _h2(e_d)
+
+
+def baseline_rate(delta):
+    """Key rate 1 - 2*H2(min(delta, 1/2)) of a basis-independent source at QBER ``delta``:
+    equal bit and phase error rates make the two costs coincide. Floors at -1."""
+    return 1.0 - 2.0 * _h2(min(delta, 0.5))
 
 
 def model_rate(family, eta, e_d, mu=0.5, eta_c=0.01):

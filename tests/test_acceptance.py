@@ -18,7 +18,6 @@ from lfqkd.rates import (
     SinglePhoton,
     key_rate,
     key_rate_single_click,
-    rate_basis_independent_baseline,
 )
 from lfqkd.simulate import (
     ExtremeTimeShift,
@@ -28,7 +27,7 @@ from lfqkd.simulate import (
     run_trials,
 )
 from lfqkd.threshold import MODEL_FAMILIES, solve_threshold_ed, sweep_curve
-from reference import binomial_upper_bound, model_rate
+from reference import baseline_rate, binomial_upper_bound, model_rate
 
 ATTACK_SEED = 6
 HONEST_SEEDS = range(100)
@@ -96,7 +95,7 @@ def test_single_click_rate_reduces_to_baseline():
     for i in range(100):
         e_s = 0.5 * i / 99
         single = key_rate_single_click(DetectionStats(q_s=1.0, e_s=e_s)).rate
-        baseline = rate_basis_independent_baseline(e_s)
+        baseline = baseline_rate(e_s)
         worst = max(worst, abs(single - baseline))
     check(
         "at Q_s = 1 the single-click rate equals 1 - 2*H2(E_s) for 100 samples "

@@ -549,6 +549,25 @@ class TestNonFiniteMu:
         assert f"mu must be positive and finite for a coherent source, got {mu}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("rate", "--model", "single-photon", "--eta", "-0.0"), "eta"),
+        (("rate", "--model", "coherent", "--eta", "-0.0"), "eta"),
+        (("rate", "--model", "single-photon", "--eta", "0.8", "--ed", "-0.0"), "e_d"),
+        (("rate", "--model", "coherent-memory", "--eta-m", "-0.0"), "eta_m"),
+        (("rate", "--model", "coherent-memory", "--eta-m", "0.8", "--eta-c", "-0.0"), "eta_c"),
+        (("threshold", "--model", "coherent-memory", "--eta-c", "-0.0"), "eta_c"),
+    ],
+)
+def test_negative_zero_probability_exits_2(capsys, argv, name):
+    # -0.0 passes 0.0 <= x <= 1.0; accepted, it gives `rate` a phase bound of -inf.
+    assert run_cli(*argv) == EXIT_INVALID_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{name} must be in [0, 1], got -0.0" in err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         config = tmp_path / "run.json"

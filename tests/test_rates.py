@@ -19,13 +19,12 @@ from lfqkd.rates import (
     channel_terms,
     key_rate,
     key_rate_single_click,
-    qber,
-    rate_basis_independent_baseline,
+    model_terms,
     rate_terms,
 )
 from lfqkd.threshold import sweep_curve
 import reference
-from reference import reference_rate
+from reference import baseline_rate, reference_rate
 
 # High-precision reference values (mpmath, 40 digits).
 BASELINE_011 = 1.680836709440087e-4          # 1 - 2*H2(0.11)
@@ -35,42 +34,56 @@ P1_MU_HALF = 0.3032653298563167              # 0.5*exp(-0.5)
 P1_MEMORY = 0.6080482499669296               # 0.01*0.5*exp(-0.5)/(1 - exp(-0.005))
 
 
+def qber(q_s, e_s):
+    """The overall QBER delta that the single-click breakdown reports."""
+    return key_rate_single_click(DetectionStats(q_s=q_s, e_s=e_s)).delta
+
+
 class TestQber:
     def test_no_random_assignment_at_full_clicks(self):
-        assert qber(DetectionStats(q_s=1.0, e_s=0.11)) == pytest.approx(0.11, abs=1e-15)
+        assert qber(1.0, 0.11) == pytest.approx(0.11, abs=1e-15)
 
     def test_all_random_at_zero_clicks(self):
-        assert qber(DetectionStats(q_s=0.0, e_s=0.3)) == 0.5
+        assert qber(0.0, 0.3) == 0.5
 
     def test_mixed(self):
-        assert qber(DetectionStats(q_s=0.8, e_s=0.01)) == pytest.approx(0.108, abs=1e-15)
+        assert qber(0.8, 0.01) == pytest.approx(0.108, abs=1e-15)
 
     def test_convex_combination_bounds(self):
         grid = [i / 20 for i in range(21)]
         for q_s in grid:
             for e_s in grid:
-                delta = qber(DetectionStats(q_s=q_s, e_s=e_s))
+                delta = qber(q_s, e_s)
                 assert min(e_s, 0.5) - 1e-12 <= delta <= max(e_s, 0.5) + 1e-12
 
 
+def full_click_rate(e_s):
+    """The single-click rate at Q_s = 1, where it is the baseline 1 - 2*H2(E_s)."""
+    return key_rate_single_click(DetectionStats(q_s=1.0, e_s=e_s)).rate
+
+
 class TestBaselineRate:
+    """The basis-independent baseline 1 - 2*H2(delta): ``reference.baseline_rate``,
+    and the single-click rate at Q_s = 1 where they agree."""
+
     def test_perfect_channel(self):
-        assert rate_basis_independent_baseline(0.0) == 1.0
+        assert baseline_rate(0.0) == full_click_rate(0.0) == 1.0
 
     def test_maximal_noise(self):
-        assert rate_basis_independent_baseline(0.5) == -1.0
+        assert baseline_rate(0.5) == full_click_rate(0.5) == -1.0
 
     def test_near_ceiling(self):
-        assert rate_basis_independent_baseline(0.11) == pytest.approx(
-            BASELINE_011, abs=1e-14
-        )
+        assert baseline_rate(0.11) == pytest.approx(BASELINE_011, abs=1e-14)
+        assert full_click_rate(0.11) == pytest.approx(BASELINE_011, abs=1e-14)
 
     def test_clamped_beyond_half(self):
-        assert rate_basis_independent_baseline(0.8) == -1.0
+        assert baseline_rate(0.8) == -1.0
+        # The single-click phase bound is clamped the same way: all of Q_s.
+        assert key_rate_single_click(DetectionStats(q_s=1.0, e_s=0.8)).pa_cost == 1.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            rate_basis_independent_baseline(1.2)
+            DetectionStats(q_s=1.0, e_s=1.2)
 
 
 def single_click_terms(q_s, e_s):
@@ -141,7 +154,7 @@ class TestKeyRateSingleClick:
         for i in range(101):
             e_s = 0.5 * i / 100
             single = key_rate_single_click(DetectionStats(q_s=1.0, e_s=e_s)).rate
-            baseline = rate_basis_independent_baseline(e_s)
+            baseline = baseline_rate(e_s)
             assert abs(single - baseline) <= 1e-12
 
 
@@ -362,6 +375,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             DetectionStats(q_s=0.5, e_s=1.01)
 
+    def test_negative_zero_is_no_probability(self):
+        # -0.0 passes 0.0 <= x <= 1.0; its sign bit does not.
+        with pytest.raises(ValueError, match=r"q_s must be in \[0, 1\], got -0.0"):
+            DetectionStats(q_s=-0.0, e_s=0.0)
+
     def test_model_constructors_validate(self):
         with pytest.raises(ValueError):
             SinglePhoton(eta=1.5, e_d=0.0)
@@ -396,12 +414,37 @@ SOURCE_MODELS = st.one_of(
 )
 
 
+MODELS = [
+    SinglePhoton(eta=0.7, e_d=0.03),
+    CoherentDecoy(mu=0.5, eta=0.8, e_d=0.02),
+    CoherentDecoyMemory(mu=0.5, eta_c=0.01, eta_m=0.75, e_d=0.01),
+]
+
+
+class TestModelShape:
+    """Every source model reads as ``(tag, eta, e_d, mu, eta_c)``."""
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.tag)
+    def test_model_terms_are_channel_terms(self, model):
+        expected = channel_terms(model.tag, np.float64(model.eta), model.mu, model.eta_c)
+        assert _bits(model_terms(model)) == _bits([float(t) for t in expected])
+
+    def test_memory_eta_is_readout_probability(self):
+        assert MODELS[2].eta == 0.75 == MODELS[2].eta_m
+
+    def test_unused_inputs_are_nan(self):
+        single, coherent, memory = MODELS
+        assert math.isnan(single.mu) and math.isnan(single.eta_c)
+        assert math.isnan(coherent.eta_c)
+        assert (coherent.mu, memory.mu, memory.eta_c) == (0.5, 0.5, 0.01)
+
+
 class TestRateIdentity:
     @settings(max_examples=300, deadline=None)
     @given(model=SOURCE_MODELS)
     def test_rate_is_signal_minus_costs(self, model):
         breakdown = key_rate(model)
-        if isinstance(model, SinglePhoton):
+        if model.tag == "single-photon":
             signal = model.eta
         else:
             signal = breakdown.p_1 * breakdown.y_1
@@ -446,16 +489,12 @@ class TestOnePointMatchesTheGrid:
     @settings(max_examples=300, deadline=None)
     @given(model=ONE_POINT_MODELS)
     def test_key_rate(self, model):
-        eta = model.eta_m if isinstance(model, CoherentDecoyMemory) else model.eta
-        q_s, p_1, y_1 = channel_terms(
-            model.tag, np.array([eta]), getattr(model, "mu", math.nan),
-            getattr(model, "eta_c", math.nan),
-        )
+        q_s, p_1, y_1 = channel_terms(model.tag, np.array([model.eta]), model.mu, model.eta_c)
         e_d = np.array([model.e_d])
         rate, ec_cost, pa_cost, phase_bound, delta_1 = rate_terms(q_s, e_d, p_1, y_1)
         # The overall QBER is delta_1 of the single-click formula.
         expected = [rate, rate_terms(q_s, e_d, 1.0, q_s)[4], phase_bound, ec_cost, pa_cost]
-        if not isinstance(model, SinglePhoton):
+        if model.tag != "single-photon":
             expected += [p_1, y_1, delta_1]
         assert _bits(_float_fields(key_rate(model))) == _bits(expected)
 

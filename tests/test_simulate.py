@@ -19,7 +19,6 @@ from lfqkd.rates import (
     coherent_fire_probabilities,
     key_rate,
     key_rate_single_click,
-    qber,
 )
 from lfqkd.simulate import (
     BLOCK,
@@ -372,7 +371,7 @@ class TestQberAccounting:
         batch = run_trials(model, None, 400_000, seed=31)
         total_errors = batch.n_single_errors + batch.n_double_errors + batch.n_none_errors
         delta_counted = total_errors / batch.n_pulses
-        delta_formula = qber(empirical_stats(batch))
+        delta_formula = key_rate_single_click(empirical_stats(batch)).delta
         # The two differ only by the fluctuation of the random assignments
         # around e_0 = 1/2.
         n_assigned = batch.n_double + batch.n_none
@@ -633,6 +632,11 @@ class TestInputValidation:
     def test_unknown_adversary(self):
         with pytest.raises(TypeError):
             run_trials(SP_MODEL, "time-shift", 100, seed=0)
+
+    def test_compare_unknown_model(self):
+        batch = run_trials(SP_MODEL, None, 100, seed=0)
+        with pytest.raises(TypeError, match="unknown source model"):
+            compare_to_analytic("single-photon", batch)
 
     @pytest.mark.parametrize(
         "model, n_pulses, error",
