@@ -12,10 +12,10 @@ while no-clicks and double clicks receive a uniformly random bit. A bit is
 randomly assigned exactly when the pulse's ``kind`` is not
 ``ClickKind.SINGLE``, so the key can be restricted to the single-click string
 while the random assignments still enter the overall QBER. Every rule is
-array code over one shard of pulses: ``run_trials`` tallies the shard arrays
-and ``trial_records`` returns them as one structured array. Tallies are
-taken over basis-matched (sifted) pulses; Q_s and E_s estimate the analytic
-channel model of the matching source.
+bitwise code over one shard of pulses: ``run_trials`` tallies the shard's
+bit planes and ``trial_records`` unpacks them into one structured array.
+Tallies are taken over basis-matched (sifted) pulses; Q_s and E_s estimate
+the analytic channel model of the matching source.
 
 Determinism: a batch is a pure function of (model, adversary, n_pulses,
 seed). Pulses are generated in fixed-size shards of ``SHARD_SIZE``; shard i
@@ -37,7 +37,7 @@ the order in which shards finish.
 Each shard of n pulses makes two draws, in this order:
 
 1. ``rng.bytes(n)``: one fair byte per pulse, read from the raw 64-bit
-   outputs it consumes (``_fair_bytes``). Bit 0 is Alice's bit, bit 1
+   outputs it consumes (``_fair_planes``). Bit 0 is Alice's bit, bit 1
    Alice's basis, bit 2 Bob's basis and bit 3 the bit assigned to a
    no-click or double click. Bits 4-6 are the scenario's own fair bits:
    the single-click bit of a basis-mismatched pulse (honest single-photon
@@ -52,8 +52,18 @@ Each shard of n pulses makes two draws, in this order:
    block with the doubles one whole draw would put there, so the stream is
    that of the whole draw, without an n-element float array per shard.
 
-Every pulse rule is int8 and float64 arithmetic on those arrays. The
-coherent channel uses the per-detector fire probabilities of
+Every per-pulse quantity is a bit plane: a uint64 array with pulse
+64*w + j in bit j of word w; no count reads the padding bits. Plane k of
+the fair bytes holds bit k of each, and each flag ``u < p`` is a plane;
+both are packed ``BLOCK`` pulses at a time by ``np.packbits(...,
+bitorder="little")``. The rules are bitwise operations on planes. The
+click kind is a stack of planes, single then double clicks (``correct ^
+wrong`` and ``correct & wrong`` for the coherent channel, ``same_basis |
+one_side`` and its complement for the strong pulse), or single clicks alone
+where no double click can happen. The tally clears the padding bits of the
+sifted plane and popcounts all its masks in one call.
+
+The coherent channel uses the per-detector fire probabilities of
 ``rates.coherent_fire_probabilities``: the two detectors fire independently,
 each when its uniform falls below its threshold. A single-photon or memory
 pulse clicks when its uniform u < eta (eta_m) and is flipped when
@@ -74,6 +84,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -113,9 +124,8 @@ class ClickKind(IntEnum):
     DOUBLE = 2
 
 
-#: int8 ``ClickKind`` codes. Kind arrays are built and compared against
-#: these: a compare with an ``IntEnum`` member costs about ten times as much.
-_SINGLE, _DOUBLE = np.int8(ClickKind.SINGLE), np.int8(ClickKind.DOUBLE)
+#: Bit k of a fair byte in row k, for the seven bits the rules read.
+_FAIR_BITS = np.array([[1 << k] for k in range(7)], np.uint8)
 
 #: Fields of a ``trial_records`` row.
 _RECORD_FIELDS = ("alice_bit", "alice_basis", "bob_basis", "kind", "assigned_bit")
@@ -137,6 +147,10 @@ class StrongPulse:
     tag = "strong_pulse"
 
     def __post_init__(self) -> None:
+        try:  # an integer, and not a bool
+            operator.index(None if isinstance(self.n_photons, bool) else self.n_photons)
+        except TypeError:
+            raise TypeError(f"n_photons must be an integer, got {self.n_photons!r}") from None
         if self.n_photons < 1:
             raise ValueError(f"n_photons must be >= 1, got {self.n_photons}")
 
@@ -191,53 +205,61 @@ class TrialBatch:
         }
 
 
-def _bit(fair, k):
-    """Bit ``k`` of each pulse's fair byte, as an int8 0/1 array."""
-    return (fair >> k) & 1
-
-
 def _select(mask, a, b):
-    """``a`` where the int8 0/1 ``mask`` is 1, else ``b``.
+    """``a`` where the bit of ``mask`` is 1, else ``b``, bitwise over planes,
+    written over ``a``.
 
     The arithmetic form of ``np.where``, which on a random mask costs about
     30 times as much per pulse.
     """
-    return b ^ ((a ^ b) & mask)
+    a ^= b
+    a &= mask
+    a ^= b
+    return a
 
 
-def _fair_bytes(rng, n):
-    """The bytes of ``rng.bytes(n)`` as an int8 array, from raw words.
+def _packed(n, rows, block_bits):
+    """``rows`` planes over ``n`` pulses, packed ``BLOCK`` pulses at a time
+    from ``block_bits(start, stop)``, their (rows, pulses) array; nonzero is
+    a 1 bit. The padding bits are left as they come."""
+    planes = np.empty((rows, 8 * -(-n // 64)), np.uint8)
+    for start in range(0, n, BLOCK):
+        packed = np.packbits(block_bits(start, min(n, start + BLOCK)), axis=1, bitorder="little")
+        planes[:, start // 8 : start // 8 + packed.shape[1]] = packed
+    return planes.view(np.uint64)
+
+
+def _fair_planes(rng, n):
+    """Plane k of the bytes of ``rng.bytes(n)``: bit k of every pulse's byte.
 
     ``rng.bytes`` returns ceil(n/4) uint32 as little-endian bytes, which
     PCG64 makes from the low, then the kept high, half of each of ceil(n/8)
     raw outputs: read here in place. No uniform after them reads a kept half.
     """
     words = rng.bit_generator.random_raw(-(-n // 8))
-    return words.astype("<u8", copy=False).view(np.int8)[:n]
+    fair = words.astype("<u8", copy=False).view(np.uint8)
+    return _packed(n, len(_FAIR_BITS), lambda start, stop: fair[start:stop] & _FAIR_BITS)
 
 
 def _below(rng, n, *thresholds):
-    """Int8 flags ``u < p`` for each threshold ``p``, over the next ``n``
-    uniforms of ``rng``: the flags of ``u = rng.random(n)``.
+    """Flag planes ``u < p``, one row per threshold ``p``, over the next
+    ``n`` uniforms of ``rng``: the flags of ``u = rng.random(n)``.
 
     The uniforms are drawn ``BLOCK`` at a time into one reused buffer, so
     a shard holds no n-element float array. At most one block is one draw.
     """
-    if n <= BLOCK:
-        u = rng.random(n)
-        return [(u < p).view(np.int8) for p in thresholds]
-    flags = [np.empty(n, dtype=np.int8) for _ in thresholds]
-    u = np.empty(BLOCK)
-    for start in range(0, n, BLOCK):
-        block = u[: n - start]
+    p, u = np.array(thresholds)[:, None], np.empty(min(n, BLOCK))
+
+    def block_bits(start, stop):
+        block = u[: stop - start]
         rng.random(out=block)
-        for flag, p in zip(flags, thresholds):
-            np.less(block, p, out=flag[start : start + len(block)].view(np.bool_))
-    return flags
+        return block < p
+
+    return _packed(n, len(thresholds), block_bits)
 
 
-def _honest_hits(model, fair, alice_bits, matched, n, rng):
-    """Click kinds and single-click bits for the honest channel of ``model``."""
+def _honest_hits(model, fair, matched, n, rng):
+    """Click-kind planes and single-click bits for the honest channel of ``model``."""
     if model.tag == "coherent":
         # Poisson splitting: the detector of Alice's bit and the other one
         # fire independently, with chance p_c and p_w on a matched pulse and
@@ -246,55 +268,56 @@ def _honest_hits(model, fair, alice_bits, matched, n, rng):
         p_c, p_w, p_h = coherent_fire_probabilities(model.mu, model.eta, model.e_d)
         correct = _select(matched, *_below(rng, n, p_c, p_h))
         wrong = _select(matched, *_below(rng, n, p_w, p_h))
-        return correct + wrong, alice_bits ^ wrong
+        return np.stack((correct ^ wrong, correct & wrong)), wrong ^ fair[0]
     # Single photon, or the memory at eta = eta_m with trials conditioned on the trigger.
-    clicked, flips = _below(rng, n, model.eta, model.eta * model.e_d)
-    return clicked, _select(matched, alice_bits ^ flips, _bit(fair, 4))
+    clicked, flips = flags = _below(rng, n, model.eta, model.eta * model.e_d)
+    return flags[:1], _select(matched, flips ^ fair[0], fair[4])
 
 
-def _time_shift_hits(model, fair, alice_bits, matched, n, rng):
+def _time_shift_hits(model, fair, matched, n, rng):
     # Channel transmittance forced to 1: all loss in the batch is Eve's.
     (flips,) = _below(rng, n, model.e_d)
-    dest = _select(matched, alice_bits ^ flips, _bit(fair, 4))
+    dest = _select(matched, flips ^ fair[0], fair[4])
     # A single click exactly when the active detector is the destination's.
-    return 1 ^ dest ^ _bit(fair, 5), dest
+    return ~(dest ^ fair[5])[None], dest
 
 
-def _strong_pulse_hits(adversary, fair, alice_bits, alice_bases, bob_bases, n, rng):
-    eve_bases, eve_rand, conj_bits = _bit(fair, 4), _bit(fair, 5), _bit(fair, 6)
-    eve_bits = _select(1 ^ eve_bases ^ alice_bases, alice_bits, eve_rand)
-    same_basis = 1 ^ bob_bases ^ eve_bases
-    (one_side,) = _below(rng, n, math.ldexp(1.0, 1 - adversary.n_photons))
-    return _DOUBLE - (same_basis | one_side), _select(same_basis, eve_bits, conj_bits)
+def _strong_pulse_hits(adversary, fair, n, rng):
+    alice_bits, alice_bases, bob_bases, _, eve_bases, eve_rand, conj_bits = fair
+    # Nothing reads fair bit 5 after Eve's bit is written over it.
+    eve_bits = _select(eve_bases ^ alice_bases, eve_rand, alice_bits)
+    same_basis = ~(bob_bases ^ eve_bases)
+    (single,) = _below(rng, n, math.ldexp(1.0, 1 - adversary.n_photons))
+    single |= same_basis
+    return np.stack((single, ~single)), _select(same_basis, eve_bits, conj_bits)
 
 
 def _simulate_shard(model, adversary, n, rng):
-    """Per-pulse arrays for one shard; the RNG draw order is fixed.
+    """Per-pulse planes for one shard; the RNG draw order is fixed.
 
-    Each channel returns the pulse's int8 ``ClickKind`` code and the bit a
+    Each channel returns its stack of click-kind planes and the bit a
     single click carries; that bit is ignored for the other kinds.
     """
-    fair = _fair_bytes(rng, n)
-    alice_bits, alice_bases, bob_bases = _bit(fair, 0), _bit(fair, 1), _bit(fair, 2)
-    matched = 1 ^ alice_bases ^ bob_bases
+    fair = _fair_planes(rng, n)
+    matched = ~(fair[1] ^ fair[2])
 
     if adversary is None:
-        kind, bit = _honest_hits(model, fair, alice_bits, matched, n, rng)
+        kind, bit = _honest_hits(model, fair, matched, n, rng)
     elif isinstance(adversary, ExtremeTimeShift):
-        kind, bit = _time_shift_hits(model, fair, alice_bits, matched, n, rng)
+        kind, bit = _time_shift_hits(model, fair, matched, n, rng)
     elif isinstance(adversary, StrongPulse):
-        kind, bit = _strong_pulse_hits(adversary, fair, alice_bits, alice_bases, bob_bases, n, rng)
+        kind, bit = _strong_pulse_hits(adversary, fair, n, rng)
     else:
         raise TypeError(f"unknown adversary strategy: {adversary!r}")
 
-    single = (kind == _SINGLE).view(np.int8)
     return {
-        "alice_bit": alice_bits,
-        "alice_basis": alice_bases,
-        "bob_basis": bob_bases,
+        "n": n,
+        "alice_bit": fair[0],
+        "alice_basis": fair[1],
+        "bob_basis": fair[2],
         "kind": kind,
-        "assigned_bit": _select(single, bit, _bit(fair, 3)),
-        "matched": matched.view(bool),
+        "assigned_bit": _select(kind[0], bit, fair[3]),
+        "matched": matched,
     }
 
 
@@ -375,15 +398,18 @@ def _pulse_shards(model, adversary, n_pulses, seed, reduce) -> Iterator:
 def _tally(a: dict) -> np.ndarray:
     """Sifted pulses and sifted errors of one shard, as a (2, 3) array
     indexed by [error, ClickKind code]."""
-    matched = a["matched"].view(np.int8)
-    # Bits 0 and 1 of the sifted kind flag single and double clicks. Masks are
-    # made in place: fresh 2**18-byte arrays doubled a batch's page faults.
-    double = a["kind"] * matched
-    single, err = double & 1, a["assigned_bit"] ^ a["alice_bit"]
-    double >>= 1
-    err &= matched
-    n, n_1, n_2, e = map(np.count_nonzero, (matched, single, double, err))
-    e_1, e_2 = (np.count_nonzero(np.bitwise_and(x, err, out=x)) for x in (single, double))
+    kinds, words = a["kind"].shape
+    # Row pairs, each a mask and its errors: sifted pulses, then each kind.
+    masks = np.empty((1 + kinds, 2, words), np.uint64)
+    sifted, err = masks[0]
+    np.copyto(sifted, a["matched"])
+    sifted[-1] &= 2**64 - 1 >> -a["n"] % 64  # the padding bits are no pulses
+    np.bitwise_xor(a["assigned_bit"], a["alice_bit"], out=err)
+    err &= sifted
+    np.bitwise_and(a["kind"], sifted, out=masks[1:, 0])
+    np.bitwise_and(masks[1:, 0], err, out=masks[1:, 1])
+    (n, e), *by_kind = np.bitwise_count(masks).sum(axis=2).tolist()
+    (n_1, e_1), (n_2, e_2) = [*by_kind, (0, 0)][:2]
     return np.array([[n - n_1 - n_2, n_1, n_2], [e - e_1 - e_2, e_1, e_2]])
 
 
@@ -429,10 +455,14 @@ def trial_records(
     ``ClickKind`` code) and ``assigned_bit``. The assigned bit is the
     detector's for a single click and uniformly random otherwise.
     """
-    shards = list(_pulse_shards(model, adversary, n_pulses, seed, lambda a: a))
+    shards = _pulse_shards(model, adversary, n_pulses, seed, lambda a: a)
     records = np.empty(n_pulses, dtype=[(name, np.int8) for name in _RECORD_FIELDS])
-    for name in _RECORD_FIELDS:
-        records[name] = np.concatenate([a[name] for a in shards])
+    for i, a in enumerate(shards):
+        rows = records[i * SHARD_SIZE : i * SHARD_SIZE + a["n"]]
+        for name in _RECORD_FIELDS:  # a plane, or the kind planes: single + 2 * double
+            planes = np.atleast_2d(a[name]).view(np.uint8)
+            bits = np.unpackbits(planes, axis=1, count=len(rows), bitorder="little")
+            rows[name] = bits[0] if len(bits) == 1 else bits[0] + 2 * bits[1]
     return records
 
 

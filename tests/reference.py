@@ -12,8 +12,9 @@ the same calls to ``f``. ``rate_terms``, with its ``_binary_entropy_kernel``
 and ``_mix``, is the rate kernel with two entropy calls that
 ``lfqkd.rates`` replaced with one, kept verbatim: the new form must give the
 same bits in all five outputs. ``_tally`` is the shard tally with one pass
-per ``ClickKind`` that ``lfqkd.simulate`` replaced with six counts, kept
-verbatim: the new form must give the same counts.
+per ``ClickKind`` over int8 arrays that ``lfqkd.simulate`` replaced with one
+popcount over bit planes, kept verbatim: the new form must give the same
+counts on the unpacked planes.
 """
 
 import math

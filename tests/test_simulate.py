@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo detection simulator."""
 
+import hashlib
 import math
 import multiprocessing
 import os
@@ -29,7 +30,7 @@ from lfqkd.simulate import (
     TrialBatch,
     _below,
     _cpu_count,
-    _fair_bytes,
+    _fair_planes,
     _pulse_shards,
     _shard_specs,
     _simulate_shard,
@@ -55,6 +56,41 @@ SCENARIOS = [
     (SP_MODEL, ExtremeTimeShift()),
     (SP_MODEL, StrongPulse(20)),
 ]
+
+#: sha256 of ``trial_records(model, adversary, 300_001, seed=2026).tobytes()``
+#: for each of SCENARIOS, in order: two shards, the last word holding one
+#: pulse. Recorded from the int8 kernel the bit planes replaced.
+TRIAL_RECORDS_SHA256 = {
+    "single-photon": "cf25260a7dcfdfa756758740da77c59af541574b1e5dc665977cb90944a5dab6",
+    "coherent": "0a6d6fc0c93ebf4ed91e604efec9747068ede0ad17de5ef0821999471f6edc97",
+    "coherent-memory": "e0bfd0fa3459528e9536b3e3e879863f5ad84c3c28d743ab5743b70a8b87c561",
+    "time-shift": "b9a7893c82542748cd6a1dbbd6aac0464460ede72fab4e0751412b58cf22e004",
+    "strong-pulse": "286cafec81bebed62c4c45b75c0a01f9f90e1af06ea5b84db1676d8f5d4acb07",
+}
+
+#: Plane fields of a shard other than its click kind.
+PLANE_FIELDS = ("alice_bit", "alice_basis", "bob_basis", "assigned_bit", "matched")
+
+
+def unpack(plane, n):
+    """The first ``n`` bits of a plane, pulse order, as int8 0/1."""
+    return np.unpackbits(plane.view(np.uint8), count=n, bitorder="little").view(np.int8)
+
+
+def pack(bits):
+    """A 0/1 array as a plane: bit j of word w is element 64*w + j."""
+    packed = np.packbits(bits.astype(bool), bitorder="little")
+    return np.pad(packed, (0, -len(packed) % 8)).view(np.uint64)
+
+
+def unpacked_shard(a):
+    """A shard's planes as the int8 arrays of the kernel they replaced."""
+    n = a["n"]
+    arrays = {name: unpack(a[name], n) for name in PLANE_FIELDS}
+    single, *double = a["kind"]
+    arrays["kind"] = unpack(single, n) + 2 * (unpack(double[0], n) if double else 0)
+    arrays["matched"] = arrays["matched"].view(bool)
+    return arrays
 
 
 def poisson_click_classes(lam, e_d, k_max=80):
@@ -173,7 +209,7 @@ class TestShardSchedule:
                 yield spec
 
         monkeypatch.setattr(simulate, "_shard_specs", counted_specs)
-        shards = _pulse_shards(SP_MODEL, None, 10**20, 0, lambda a: a["kind"].size)
+        shards = _pulse_shards(SP_MODEL, None, 10**20, 0, lambda a: a["n"])
         assert next(shards) == SHARD_SIZE
         assert 1 <= len(drawn) <= _cpu_count() + 1
 
@@ -212,9 +248,10 @@ class TestBlockDraws:
         thresholds = (0.0, 0.02, 0.7, 1.0)
         u = np.random.default_rng(n).random(n)
         flags = _below(np.random.default_rng(n), n, *thresholds)
+        assert flags.dtype == np.uint64
+        assert flags.shape == (len(thresholds), -(-n // 64))
         for flag, p in zip(flags, thresholds):
-            assert flag.dtype == np.int8
-            assert np.array_equal(flag, u < p)
+            assert np.array_equal(unpack(flag, n), u < p)
 
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, SHARD_SIZE])
     def test_two_draws_are_the_rows_of_the_coherent_draw(self, n):
@@ -222,16 +259,20 @@ class TestBlockDraws:
         rng = np.random.default_rng(n)
         (row_0,) = _below(rng, n, 0.3)
         (row_1,) = _below(rng, n, 0.6)
-        assert np.array_equal(row_0, u[0] < 0.3)
-        assert np.array_equal(row_1, u[1] < 0.6)
+        assert np.array_equal(unpack(row_0, n), u[0] < 0.3)
+        assert np.array_equal(unpack(row_1, n), u[1] < 0.6)
 
     @pytest.mark.parametrize("n", [*range(1, 18), 4095, 4096, 4097, BLOCK + 1, SHARD_SIZE])
     def test_fair_bytes_are_rng_bytes(self, n):
+        # Plane k holds bit k of every pulse's byte of rng.bytes(n); bit 7 is unused.
         rng = np.random.default_rng(n)
-        fair = _fair_bytes(rng, n)
+        fair = _fair_planes(rng, n)
         expected = np.random.default_rng(n)
-        assert fair.dtype == np.int8
-        assert np.array_equal(fair, np.frombuffer(expected.bytes(n), dtype=np.int8))
+        fair_bytes = np.frombuffer(expected.bytes(n), dtype=np.uint8)
+        assert fair.dtype == np.uint64
+        assert fair.shape == (7, -(-n // 64))
+        for k, plane in enumerate(fair):
+            assert np.array_equal(unpack(plane, n), (fair_bytes >> k) & 1)
         # rng.bytes may keep half a 64-bit output that no uniform reads.
         assert rng.random(3).tolist() == expected.random(3).tolist()
 
@@ -251,7 +292,8 @@ BIT_CHANCES = [0.0, 0.5, 1.0]
 
 
 class TestTally:
-    """``_tally`` gives the counts of the one-pass-per-kind tally it replaced."""
+    """``_tally`` over planes gives the counts of the one-pass-per-kind tally
+    over int8 arrays that it replaced."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -269,12 +311,37 @@ class TestTally:
             "alice_bit": (rng.random(n) < p_alice).astype(np.int8),
             "matched": rng.random(n) < p_matched,
         }
-        assert np.array_equal(_tally(a), reference._tally(a))
+        planes = {name: pack(a[name]) for name in ("assigned_bit", "alice_bit", "matched")}
+        single, double = pack(a["kind"] == 1), pack(a["kind"] == 2)
+        expected = reference._tally(a)
+        kind = np.stack((single, double))
+        assert np.array_equal(_tally({**planes, "n": n, "kind": kind}), expected)
+        if not np.any(a["kind"] == 2):
+            assert np.array_equal(_tally({**planes, "n": n, "kind": single[None]}), expected)
 
     @pytest.mark.parametrize("model, adversary", SCENARIOS)
     def test_real_shard_matches_reference_tally(self, model, adversary):
         a = _simulate_shard(model, adversary, SHARD_SIZE, np.random.default_rng(11))
-        assert np.array_equal(_tally(a), reference._tally(a))
+        assert np.array_equal(_tally(a), reference._tally(unpacked_shard(a)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.one_of(
+            st.integers(1, 130),
+            st.sampled_from([BLOCK - 1, BLOCK + 1, SHARD_SIZE - 1, SHARD_SIZE + 1]),
+        ),
+        scenario=st.sampled_from(SCENARIOS),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_padding_bits_never_count(self, n, scenario, seed):
+        model, adversary = scenario
+        a = _simulate_shard(model, adversary, n, np.random.default_rng(seed))
+        counts = _tally(a)
+        padding = ~np.uint64((1 << n % 64) - 1) if n % 64 else np.uint64(0)
+        for plane in (*(a[name] for name in PLANE_FIELDS), *a["kind"]):
+            plane[-1] |= padding
+        assert np.array_equal(_tally(a), counts)
+        assert counts[0].sum() == np.count_nonzero(unpacked_shard(a)["matched"])
 
 
 class TestPartition:
@@ -453,6 +520,12 @@ class TestScalarAttackOps:
         with pytest.raises(ValueError):
             StrongPulse(n_photons=0)
 
+    @pytest.mark.parametrize("n_photons", [2.5, math.nan, "3", True])
+    def test_strong_pulse_photon_count_is_an_integer(self, n_photons):
+        with pytest.raises(TypeError, match="n_photons"):
+            StrongPulse(n_photons=n_photons)
+        assert StrongPulse(n_photons=np.int64(3)).n_photons == 3
+
 
 class TestEmpiricalStats:
     def test_ratios(self):
@@ -555,6 +628,14 @@ def _two_sample_se(p1, n1, p2, n2):
 
 
 class TestTrialRecords:
+    @pytest.mark.parametrize(
+        "scenario, name", zip(SCENARIOS, TRIAL_RECORDS_SHA256), ids=list(TRIAL_RECORDS_SHA256)
+    )
+    def test_record_bytes_pinned(self, scenario, name):
+        model, adversary = scenario
+        records = trial_records(model, adversary, 300_001, seed=2026)
+        assert hashlib.sha256(records.tobytes()).hexdigest() == TRIAL_RECORDS_SHA256[name]
+
     def test_random_assignment_marks_non_single_outcomes(self):
         records = trial_records(COH_MODEL, None, 30_000, seed=7)
         assert records.dtype.names == (
