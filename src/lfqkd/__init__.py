@@ -1,6 +1,6 @@
 """Loophole-free QKD post-processing: rates, thresholds, detection Monte Carlo."""
 
-from .numerics import NoSignChangeError, binary_entropy, find_root_bisect
+from .numerics import binary_entropy
 from .rates import (
     CoherentDecoy,
     CoherentDecoyMemory,
@@ -51,7 +51,6 @@ __all__ = [
     "GridSpec",
     "KeyRateBreakdown",
     "MODEL_FAMILIES",
-    "NoSignChangeError",
     "RANDOM_ASSIGNMENT_ERROR_RATE",
     "SinglePhoton",
     "SourceModel",
@@ -64,7 +63,6 @@ __all__ = [
     "compare_to_analytic",
     "curve_to_csv",
     "empirical_stats",
-    "find_root_bisect",
     "key_rate",
     "key_rate_single_click",
     "rate_terms",

@@ -34,7 +34,6 @@ import os
 import sys
 import tempfile
 
-from .numerics import DEFAULT_BISECT_TOL
 from .rates import CoherentDecoy, CoherentDecoyMemory, SinglePhoton, SourceModel, key_rate
 from .simulate import (
     DEFAULT_STRONG_PULSE_PHOTONS,
@@ -44,6 +43,7 @@ from .simulate import (
     run_trials,
 )
 from .threshold import (
+    DEFAULT_BISECT_TOL,
     DEFAULT_ETA_C,
     DEFAULT_MU,
     EmptyCurveError,

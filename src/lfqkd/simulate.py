@@ -131,6 +131,14 @@ _FAIR_BITS = np.array([[1 << k] for k in range(7)], np.uint8)
 _RECORD_FIELDS = ("alice_bit", "alice_basis", "bob_basis", "kind", "assigned_bit")
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise TypeError unless ``value`` is an integer, and not a bool."""
+    try:
+        operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ExtremeTimeShift:
     """One uniformly chosen detector active per pulse, the other dead."""
@@ -147,10 +155,7 @@ class StrongPulse:
     tag = "strong_pulse"
 
     def __post_init__(self) -> None:
-        try:  # an integer, and not a bool
-            operator.index(None if isinstance(self.n_photons, bool) else self.n_photons)
-        except TypeError:
-            raise TypeError(f"n_photons must be an integer, got {self.n_photons!r}") from None
+        _check_integer("n_photons", self.n_photons)
         if self.n_photons < 1:
             raise ValueError(f"n_photons must be >= 1, got {self.n_photons}")
 
@@ -188,7 +193,11 @@ class TrialBatch:
         return self.n_single == 0
 
     def summary(self) -> dict:
-        """Summary dict in the pinned schema, including the empirical rate."""
+        """Summary dict in the pinned schema. Its ``rate`` is the single-click
+        formula on the batch's (Q_s, E_s) for every source, while the
+        ``rate_gap`` of ``compare_to_analytic`` uses the source's own formula:
+        a coherent batch at mu 0.5, eta 0.8, e_d 0.02, seed 1 and 10^6 pulses
+        has ``rate`` -0.040, its source +0.051."""
         stats = empirical_stats(self)
         return {
             "scenario": self.scenario_tag,
@@ -305,10 +314,8 @@ def _simulate_shard(model, adversary, n, rng):
         kind, bit = _honest_hits(model, fair, matched, n, rng)
     elif isinstance(adversary, ExtremeTimeShift):
         kind, bit = _time_shift_hits(model, fair, matched, n, rng)
-    elif isinstance(adversary, StrongPulse):
-        kind, bit = _strong_pulse_hits(adversary, fair, n, rng)
     else:
-        raise TypeError(f"unknown adversary strategy: {adversary!r}")
+        kind, bit = _strong_pulse_hits(adversary, fair, n, rng)
 
     return {
         "n": n,
@@ -375,16 +382,20 @@ def _pulse_shards(model, adversary, n_pulses, seed, reduce) -> Iterator:
     """Check the inputs, then simulate each shard and give ``reduce`` of its
     arrays, one shard at a time, in shard order.
 
-    The one input check for every entry point. A batch of more than one
-    shard runs on the shard pool, where ``reduce`` runs too, so a shard's
-    arrays are freed as soon as it is reduced.
+    The one input check for every entry point, made before any shard runs.
+    A batch of more than one shard runs on the shard pool, where ``reduce``
+    runs too, so a shard's arrays are freed as soon as it is reduced.
     """
+    _check_integer("n_pulses", n_pulses)
     if n_pulses <= 0:
         raise ValueError(f"n_pulses must be positive, got {n_pulses}")
+    _check_integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if not isinstance(model, SourceModel):
         raise TypeError(f"unknown source model: {model!r}")
+    if not (adversary is None or isinstance(adversary, (ExtremeTimeShift, StrongPulse))):
+        raise TypeError(f"unknown adversary strategy: {adversary!r}")
 
     def shard(spec):
         n, seed_seq = spec
@@ -527,9 +538,10 @@ def _within(observed: float, expected: float, n: int, budget: float) -> bool:
 def compare_to_analytic(model: SourceModel, batch: TrialBatch) -> ComparisonReport:
     """Check a batch's (Q_s, E_s) and rate against the closed-form model.
 
-    Only honest batches have an analytic prediction; adversarial batches are
-    rejected. The rate gap compares the rate formula evaluated on empirical
-    stats against the fully analytic rate.
+    Only an honest batch of ``model``'s own source (``batch.model_tag ==
+    model.tag``) has an analytic prediction; other batches are rejected
+    with ValueError. The rate gap compares the source's own rate formula
+    on the batch's stats against the fully analytic rate.
     """
     if batch.scenario_tag != "honest":
         raise ValueError(
@@ -538,6 +550,8 @@ def compare_to_analytic(model: SourceModel, batch: TrialBatch) -> ComparisonRepo
         )
 
     q_s, p_1, y_1 = model_terms(model)
+    if batch.model_tag != model.tag:
+        raise ValueError(f"a batch of source {batch.model_tag!r} compared to model {model.tag!r}")
     emp = empirical_stats(batch)
     # The closed-form rate and the rate at the batch's (Q_s, E_s), in one
     # kernel call. Every single click of a single-photon source is a single

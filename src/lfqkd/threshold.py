@@ -14,6 +14,10 @@ The last family evaluates the single-photon formula with eta_m in the role
 of the transmittance, so its curve coincides with the single-photon one; it
 is still emitted under its own tag so downstream consumers see all four
 configurations.
+
+Each solve bisects e_d in [0, 1/2] without evaluating either end: a point is
+kept only where its rate at e_d = 0 is positive, and at e_d = 1/2 the rate of
+every family is -Q_s < 0. At ``tol`` 1e-9 a solve calls the rate 29 times.
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_BISECT_TOL, find_root_bisect
 from .rates import MODEL_FAMILIES, _assigned, _rate_kernel, channel_terms, check_inputs, rate_terms
 from .rates import key_rate  # noqa: F401  -- not called here; bench/tracing.py patches it
 
 DEFAULT_MU = 0.5
 DEFAULT_ETA_C = 0.01
+DEFAULT_BISECT_TOL = 1e-9
 
 #: Bracket cap for e_d: a binary error probability beyond 1/2 is meaningless.
 E_D_MAX = 0.5
@@ -93,6 +97,55 @@ class ThresholdCurve:
     e_d_max: np.ndarray
 
 
+def find_root_bisect(f, n: int, tol: float = DEFAULT_BISECT_TOL) -> np.ndarray:
+    """Bisect ``f`` over e_d in [0, 1/2] at each of ``n`` points; return the roots.
+
+    Precondition, not checked: ``f(0) > 0 > f(1/2)`` at every point and
+    ``0 < tol < 1/2``. So neither end is evaluated, only the ``n`` midpoints
+    ``0.5*(lo + hi)``, once per halving. A bracket stops when its width is at
+    most ``tol``, its midpoint is not strictly inside it, or ``f`` is exactly
+    zero there; that midpoint is its root. The first
+    ``max(int(1/8 / max(tol, 2^-50)).bit_length() - 2, 0)`` halvings (25 of 29
+    at ``tol`` 1e-9) skip the stop test: there every width is at least 16 times
+    that max and every midpoint exact. The solve runs in one ``np.errstate``.
+    """
+    lo, hi, root = np.zeros(n), np.full(n, E_D_MAX), np.full(n, np.nan)
+    active, n_active = np.ones(n, dtype=bool), n
+    safe = max(int(0.125 / max(tol, 2.0**-50)).bit_length() - 2, 0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # Scatter only where some bracket stops or hits f == 0 (count_nonzero beats any()).
+        while n_active:
+            mid = 0.5 * (lo + hi)
+            if safe:
+                safe -= 1
+            else:
+                go_on = (hi - lo > tol) & (lo < mid) & (mid < hi)
+                stop = active & ~go_on
+                if np.count_nonzero(stop):
+                    root[stop] = mid[stop]
+                    active &= go_on
+                    if not np.count_nonzero(active):
+                        break
+            f_mid = f(mid)
+            at_mid = f_mid == 0.0
+            if np.count_nonzero(at_mid):
+                at_mid &= active
+                root[at_mid] = mid[at_mid]
+                active &= ~at_mid
+                n_active = np.count_nonzero(active)
+            # Brackets already done keep halving; their roots are fixed.
+            to_lo = f_mid > 0.0
+            np.copyto(lo, mid, where=to_lo)
+            np.copyto(hi, mid, where=~to_lo)
+    return root
+
+
+def _ed_rate(q_s: np.ndarray, p_1, y_1: np.ndarray):
+    """The rate as a function of e_d, as a solve bisects it; call it in an ``np.errstate``."""
+    signal, assigned, shape = p_1 * y_1, _assigned(y_1), y_1.shape
+    return lambda e_d: _rate_kernel(q_s, e_d, e_d, y_1, signal, assigned, shape)[0]
+
+
 def _solve_grid(
     family: str, etas: np.ndarray, tol: float, mu: float, eta_c: float
 ) -> np.ndarray:
@@ -119,11 +172,8 @@ def _solve_grid(
         q_c, y_c = q_s[chunk], y_1[chunk]
         kept = rate_terms(q_c, np.zeros(q_c.shape), p_1, y_c)[0] > 0.0
         if kept.any():
-            q_c, y_c = q_c[kept], y_c[kept]
-            signal, assigned, shape = p_1 * y_c, _assigned(y_c), y_c.shape
-            e_d_max[chunk][kept] = find_root_bisect(
-                lambda e_d: _rate_kernel(q_c, e_d, e_d, y_c, signal, assigned, shape)[0],
-                np.zeros(shape), np.full(shape, E_D_MAX), tol=tol)
+            f = _ed_rate(q_c[kept], p_1, y_c[kept])
+            e_d_max[chunk][kept] = find_root_bisect(f, np.count_nonzero(kept), tol=tol)
     return e_d_max
 
 
@@ -136,12 +186,10 @@ def solve_threshold_ed(
 ) -> float | None:
     """Largest e_d with a nonnegative rate at fixed ``eta``, or None.
 
-    Bisects the rate's sign change over e_d in [0, 1/2]: the sweep of a
-    one-point grid. Returns None when the rate is already nonpositive at
-    e_d = 0 (at or below the transmittance floor, where no positive-error
-    operating point exists). At e_d = 1/2 the rate of every family is
-    -Q_s <= 0, so the bracket holds the sign change; the returned value
-    brackets the zero crossing to within ``tol``.
+    Bisects the rate's sign change over e_d in [0, 1/2] to within ``tol``:
+    the sweep of a one-point grid. Returns None when the rate is already
+    nonpositive at e_d = 0 (at or below the transmittance floor, where no
+    positive-error operating point exists).
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")

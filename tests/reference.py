@@ -5,10 +5,15 @@
 ``lfqkd``; ``baseline_rate`` is its basis-independent case at Q_s = 1.
 ``model_rate`` is not a reference: it is the rate of ``lfqkd``'s
 own model path, by family. ``binomial_upper_bound`` is an exact binomial tail.
-``binary_entropy_array`` and ``find_root_bisect`` are the masked entropy and
-the bisection loop that ``lfqkd.numerics`` replaced with fewer numpy calls
-per halving, kept verbatim: the new forms must give the same bits and make
-the same calls to ``f``. ``rate_terms``, with its ``_binary_entropy_kernel``
+``binary_entropy_array`` is the masked entropy that ``lfqkd.numerics``
+replaced with fewer numpy calls, kept verbatim: the new form must give the
+same bits. ``find_root_bisect`` is the general bisection loop, kept verbatim,
+that ``lfqkd.threshold.find_root_bisect`` replaced with a solver of the one
+bracket the threshold solve has, e_d in [0, 1/2] with f(0) > 0 > f(1/2):
+there the new solver must give the same bits and call ``f`` at the same
+midpoints, which are the reference's calls without its two calls at the
+ends; the acceptance tests also derive the Bell-test efficiency with it.
+``rate_terms``, with its ``_binary_entropy_kernel``
 and ``_mix``, is the rate kernel with two entropy calls that
 ``lfqkd.rates`` replaced with one, kept verbatim: the new form must give the
 same bits in all five outputs. ``_tally`` is the shard tally with one pass
@@ -22,7 +27,6 @@ from typing import Callable
 
 import numpy as np
 
-from lfqkd.numerics import NoSignChangeError
 from lfqkd.rates import CoherentDecoy, CoherentDecoyMemory, SinglePhoton, key_rate
 from lfqkd.simulate import ClickKind
 
@@ -30,6 +34,10 @@ DEFAULT_BISECT_TOL = 1e-9
 
 #: One-sided tail beyond 3 sigma of a normal variable, about 0.135%.
 THREE_SIGMA_TAIL = 0.5 * math.erfc(3.0 / math.sqrt(2.0))
+
+
+class NoSignChangeError(ValueError):
+    """Raised when a bisection bracket does not contain a sign change."""
 
 
 def _h2(x):

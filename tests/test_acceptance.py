@@ -10,7 +10,6 @@ import math
 import time
 
 from lfqkd.cli import main
-from lfqkd.numerics import find_root_bisect
 from lfqkd.rates import (
     CoherentDecoy,
     CoherentDecoyMemory,
@@ -27,7 +26,7 @@ from lfqkd.simulate import (
     run_trials,
 )
 from lfqkd.threshold import MODEL_FAMILIES, solve_threshold_ed, sweep_curve
-from reference import baseline_rate, binomial_upper_bound, model_rate
+from reference import baseline_rate, binomial_upper_bound, find_root_bisect, model_rate
 
 ATTACK_SEED = 6
 HONEST_SEEDS = range(100)

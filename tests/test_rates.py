@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lfqkd.numerics import binary_entropy, find_root_bisect
+from lfqkd.numerics import binary_entropy
 from lfqkd.rates import (
     CoherentDecoy,
     CoherentDecoyMemory,
@@ -553,7 +553,3 @@ class TestQuietAtEdges:
         memory = sweep_curve("coherent-memory", mu=1e-300, eta_c=1e-300)
         single = sweep_curve("single-photon")
         assert memory.e_d_max.tolist() == single.e_d_max.tolist()
-
-    def test_bisection_wider_than_float_range(self):
-        # hi - lo overflows to inf on the first halving.
-        assert find_root_bisect(lambda x: x, -1e308, 1e308).tolist() == [0.0]

@@ -581,6 +581,11 @@ class TestCompareToAnalytic:
         assert report.q_s_offset_budget == 0.0
         assert report.passed
 
+    def test_rejects_a_batch_of_another_source(self):
+        batch = run_trials(COH_MODEL, None, 10**4, seed=1)
+        with pytest.raises(ValueError, match="'coherent' compared to model 'single-photon'"):
+            compare_to_analytic(SP_MODEL, batch)
+
     def test_coherent_offset_within_budget(self):
         batch = run_trials(COH_MODEL, None, 1_000_000, seed=41)
         report = compare_to_analytic(COH_MODEL, batch)
@@ -714,22 +719,44 @@ class TestInputValidation:
         with pytest.raises(TypeError):
             run_trials(SP_MODEL, "time-shift", 100, seed=0)
 
+    def test_unknown_adversary_rejected_before_any_shard(self, monkeypatch):
+        def no_shard(*args):
+            raise AssertionError("a shard ran")
+
+        monkeypatch.setattr(simulate, "_simulate_shard", no_shard)
+        for entry in (run_trials, trial_records):
+            with pytest.raises(TypeError, match="unknown adversary strategy"):
+                entry(SP_MODEL, "time-shift", 2 * SHARD_SIZE + 1, seed=0)
+
+    @pytest.mark.parametrize("name", ["n_pulses", "seed"])
+    @pytest.mark.parametrize("value", [1.5, True, "3"])
+    def test_non_integer_rejected(self, name, value):
+        args = {"n_pulses": 100, "seed": 0, name: value}
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got {value!r}"):
+            run_trials(SP_MODEL, None, **args)
+
     def test_compare_unknown_model(self):
         batch = run_trials(SP_MODEL, None, 100, seed=0)
         with pytest.raises(TypeError, match="unknown source model"):
             compare_to_analytic("single-photon", batch)
 
     @pytest.mark.parametrize(
-        "model, n_pulses, error",
+        "model, n_pulses, seed, error",
         [
-            (SP_MODEL, 0, ValueError),
-            (SP_MODEL, -5, ValueError),
-            ("single-photon", 100, TypeError),
+            # The ids of the rows from before the seed column.
+            pytest.param(SP_MODEL, 0, 0, ValueError, id="model0-0-ValueError"),
+            pytest.param(SP_MODEL, -5, 0, ValueError, id="model1--5-ValueError"),
+            pytest.param("single-photon", 100, 0, TypeError, id="single-photon-100-TypeError"),
+            *(
+                pytest.param(SP_MODEL, *args, TypeError, id=f"{name}-{value!r}")
+                for value in (1.5, True, "3")
+                for name, args in (("n_pulses", (value, 0)), ("seed", (100, value)))
+            ),
         ],
     )
-    def test_trial_records_shares_the_input_check(self, model, n_pulses, error):
+    def test_trial_records_shares_the_input_check(self, model, n_pulses, seed, error):
         with pytest.raises(error) as batch_error:
-            run_trials(model, None, n_pulses, seed=0)
+            run_trials(model, None, n_pulses, seed=seed)
         with pytest.raises(error) as records_error:
-            trial_records(model, None, n_pulses, seed=0)
+            trial_records(model, None, n_pulses, seed=seed)
         assert str(records_error.value) == str(batch_error.value)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lfqkd import threshold
+from lfqkd.rates import channel_terms, rate_terms
 from lfqkd.threshold import (
     CSV_HEADER,
     EmptyCurveError,
@@ -92,6 +93,19 @@ class TestRateProperties:
     def test_rate_nonpositive_at_half(self, family, eta, mu, eta_c):
         # The bisection bracket [0, 1/2] holds the sign change only if so.
         assert model_rate(family, eta, 0.5, mu=mu, eta_c=eta_c) <= 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=FAMILY, eta=ETA, mu=MU, eta_c=ETA_C)
+    def test_kernel_negative_at_half_where_kept(self, family, eta, mu, eta_c):
+        # find_root_bisect evaluates neither end: it needs f(0) > 0 > f(1/2)
+        # of the kernel call _solve_grid makes, wherever its kept test holds.
+        q_s, p_1, y_1 = channel_terms(family, np.array([eta]), mu, eta_c)
+        f = threshold._ed_rate(q_s, p_1, y_1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            (at_zero,), (at_half,) = f(np.zeros(1)), f(np.full(1, 0.5))
+        (kept,) = rate_terms(q_s, np.zeros(1), p_1, y_1)[0] > 0.0
+        assert kept == (at_zero > 0.0)
+        assert not at_zero > 0.0 or at_half < 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(family=FAMILY, eta=ETA, mu=MU, eta_c=ETA_C, e_a=E_D, e_b=E_D)
@@ -192,7 +206,7 @@ class TestSolveCost:
     """What the bisection of one default-grid curve costs."""
 
     @pytest.mark.parametrize("family", MODEL_FAMILIES)
-    def test_one_solve_of_31_calls_in_one_errstate(self, family, monkeypatch):
+    def test_one_solve_of_29_calls_in_one_errstate(self, family, monkeypatch):
         entries, solves = [], []
         enter, solve = np.errstate.__enter__, threshold.find_root_bisect
 
@@ -200,22 +214,22 @@ class TestSolveCost:
             entries.append(self)
             return enter(self)
 
-        def counted_solve(f, lo, hi, tol):
+        def counted_solve(f, n, tol):
             calls, before = [], len(entries)
 
             def counted_f(x):
                 calls.append(x.size)
                 return f(x)
 
-            roots = solve(counted_f, lo, hi, tol=tol)
+            roots = solve(counted_f, n, tol=tol)
             solves.append((len(calls), len(entries) - before))
             return roots
 
         monkeypatch.setattr(np.errstate, "__enter__", counting_enter)
         monkeypatch.setattr(threshold, "find_root_bisect", counted_solve)
         sweep_curve(family)
-        # f(lo), f(hi) and 29 midpoints at tol 1e-9, none with its own errstate.
-        assert solves == [(31, 1)]
+        # 29 midpoints at tol 1e-9 and neither end, none with its own errstate.
+        assert solves == [(29, 1)]
 
 
     @pytest.mark.parametrize("family", MODEL_FAMILIES)
