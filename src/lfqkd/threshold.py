@@ -17,7 +17,8 @@ configurations.
 
 Each solve bisects e_d in [0, 1/2] without evaluating either end: a point is
 kept only where its rate at e_d = 0 is positive, and at e_d = 1/2 the rate of
-every family is -Q_s < 0. At ``tol`` 1e-9 a solve calls the rate 29 times.
+every family is -Q_s < 0. At ``tol`` 1e-9 a solve calls the rate 29 times, all
+while every bracket has one width, which ``find_root_bisect`` keeps as a float.
 """
 
 from __future__ import annotations
@@ -101,43 +102,52 @@ def find_root_bisect(f, n: int, tol: float = DEFAULT_BISECT_TOL) -> np.ndarray:
     """Bisect ``f`` over e_d in [0, 1/2] at each of ``n`` points; return the roots.
 
     Precondition, not checked: ``f(0) > 0 > f(1/2)`` at every point and
-    ``0 < tol < 1/2``. So neither end is evaluated, only the ``n`` midpoints
-    ``0.5*(lo + hi)``, once per halving. A bracket stops when its width is at
-    most ``tol``, its midpoint is not strictly inside it, or ``f`` is exactly
-    zero there; that midpoint is its root. The first
-    ``max(int(1/8 / max(tol, 2^-50)).bit_length() - 2, 0)`` halvings (25 of 29
-    at ``tol`` 1e-9) skip the stop test: there every width is at least 16 times
-    that max and every midpoint exact. The solve runs in one ``np.errstate``.
+    ``0 < tol < 1/2``. So the ends are not evaluated, only one midpoint per
+    bracket and halving. A bracket stops when its width is at most ``tol``,
+    its midpoint is not strictly inside it, or ``f`` is exactly zero there;
+    that midpoint is its root. All brackets start as [0, 1/2] and go on
+    halving once their root is fixed, so they share one width w, a power of
+    two, while w > t = max(tol, 2^-50): there none can stop, as w > tol and
+    the midpoint ``lo + w/2`` is a multiple of 2^-50 below 1/2, so exact and
+    strictly inside. These first ``-frexp(t)[1]`` halvings (all 29 at ``tol``
+    1e-9) carry w as a float, with no upper ends and no stop test, and pass
+    ``f`` one reused array, which ``f`` must not keep. The rest test each
+    midpoint ``0.5*(lo + hi)`` from ``hi = lo + w``. All run in one ``np.errstate``.
     """
-    lo, hi, root = np.zeros(n), np.full(n, E_D_MAX), np.full(n, np.nan)
-    active, n_active = np.ones(n, dtype=bool), n
-    safe = max(int(0.125 / max(tol, 2.0**-50)).bit_length() - 2, 0)
+    lo, root, active = np.zeros(n), np.full(n, np.nan), np.ones(n, dtype=bool)
+    mid, to_lo, w = np.empty(n), np.empty(n, dtype=bool), E_D_MAX
+
+    def stop_at_zeros(f_mid, mid):
+        """Fix the root where ``f`` is zero; the count of points still active."""
+        at_mid = (f_mid == 0.0) & active
+        root[at_mid] = mid[at_mid]
+        active[at_mid] = False
+        return np.count_nonzero(active)
+
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # Scatter only where some bracket stops or hits f == 0 (count_nonzero beats any()).
-        while n_active:
+        # Scatter only where f == 0 somewhere (count_nonzero beats any()).
+        for _ in range(-math.frexp(max(tol, 2.0**-50))[1]):
+            w *= 0.5
+            f_mid = f(np.add(lo, w, out=mid))
+            if np.count_nonzero(f_mid) < n and not stop_at_zeros(f_mid, mid):
+                return root
+            np.copyto(lo, mid, where=np.greater(f_mid, 0.0, out=to_lo))
+        hi = lo + w
+        while True:
             mid = 0.5 * (lo + hi)
-            if safe:
-                safe -= 1
-            else:
-                go_on = (hi - lo > tol) & (lo < mid) & (mid < hi)
-                stop = active & ~go_on
-                if np.count_nonzero(stop):
-                    root[stop] = mid[stop]
-                    active &= go_on
-                    if not np.count_nonzero(active):
-                        break
+            go_on = (hi - lo > tol) & (lo < mid) & (mid < hi)
+            stop = active & ~go_on
+            if np.count_nonzero(stop):
+                root[stop] = mid[stop]
+                active &= go_on
+            if not np.count_nonzero(active):
+                return root
             f_mid = f(mid)
-            at_mid = f_mid == 0.0
-            if np.count_nonzero(at_mid):
-                at_mid &= active
-                root[at_mid] = mid[at_mid]
-                active &= ~at_mid
-                n_active = np.count_nonzero(active)
+            if np.count_nonzero(f_mid) < n and not stop_at_zeros(f_mid, mid):
+                return root
             # Brackets already done keep halving; their roots are fixed.
-            to_lo = f_mid > 0.0
-            np.copyto(lo, mid, where=to_lo)
+            np.copyto(lo, mid, where=np.greater(f_mid, 0.0, out=to_lo))
             np.copyto(hi, mid, where=~to_lo)
-    return root
 
 
 def _ed_rate(q_s: np.ndarray, p_1, y_1: np.ndarray):

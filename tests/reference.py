@@ -12,7 +12,12 @@ that ``lfqkd.threshold.find_root_bisect`` replaced with a solver of the one
 bracket the threshold solve has, e_d in [0, 1/2] with f(0) > 0 > f(1/2):
 there the new solver must give the same bits and call ``f`` at the same
 midpoints, which are the reference's calls without its two calls at the
-ends; the acceptance tests also derive the Bell-test efficiency with it.
+ends. The reference computes each midpoint as ``0.5*(lo + hi)`` and tests
+every bracket before each halving; the new solver skips that test while
+the shared bracket width exceeds max(tol, 2^-50) and computes those
+midpoints as ``lo + w/2``, which is the same float there. Whole threshold
+curves are checked against a sweep that drives it, and the acceptance tests
+also derive the Bell-test efficiency with it.
 ``rate_terms``, with its ``_binary_entropy_kernel``
 and ``_mix``, is the rate kernel with two entropy calls that
 ``lfqkd.rates`` replaced with one, kept verbatim: the new form must give the

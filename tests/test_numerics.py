@@ -139,6 +139,9 @@ class TestFindRootBisectArrays:
         assert roots.tolist() == expected
         assert expected[1:3] == [0.25, 0.125]
 
+    def test_no_points(self):
+        assert find_root_bisect(lambda x: 0.25 - x, 0).tolist() == []
+
 
 def _recorded(f):
     """``f`` and the list of copies of the points it is called on."""
@@ -209,6 +212,22 @@ def _outcome(solve):
     return _bits(roots), [_bits(x) for x in calls]
 
 
+def _dyadic_next_to_third(j):
+    """The odd multiple of 2^-j next to 1/3: the bisection of [0, 1/2] reaches
+    it exactly, as the midpoint of its halving of width 2^-(j-1)."""
+    return (2 * int(THIRD * 2 ** (j - 1)) + 1) * 2.0**-j
+
+
+def _edge_examples(test):
+    """``test`` with an example per edge tol and root kind (see its comment)."""
+    for k in (3, 20, 49, 50, 51):
+        c = np.array([_dyadic_next_to_third(k), _dyadic_next_to_third(k + 1)])
+        for tol in (math.nextafter(2.0**-k, 0), 2.0**-k, math.nextafter(2.0**-k, 1)):
+            test = example((lambda x: THIRD - x, 1, tol))(test)
+            test = example((lambda x, c=c: c - x, 2, tol))(test)
+    return test
+
+
 class TestMatchesTheMaskedForms:
     """The threshold solver and the entropy kernel give the bits of the
     general bisection and the masked entropy they replaced
@@ -218,11 +237,11 @@ class TestMatchesTheMaskedForms:
     @given(solves())
     @example((lambda x: 0.25 - x, 1, 1e-300))  # f == 0 at the first midpoint
     @example((lambda x: THIRD - x, 2, 5e-324))
-    # The edges of the halvings without a stop test: 1/8 over tol at and
-    # just above a power of two, and tol at and below float spacing.
-    @example((lambda x: THIRD - x, 1, 2.0**-20))
-    @example((lambda x: THIRD - x, 1, math.nextafter(2.0**-20, 0)))
-    @example((lambda x: THIRD - x, 1, 2.0**-50))
+    # The edges of the halvings without a stop test, where their count
+    # changes: tol at and next to a power of two, down to and below 2^-50,
+    # with a root at no midpoint and two at the midpoints of the last of
+    # those halvings and the first after them.
+    @_edge_examples
     @example((lambda x: 0.125 - x * x, 1, 2.0**-52))
     @example((lambda x: 0.5 - THIRD - x, 1, 2.0**-53))
     @example((lambda x: 1e-310 - x, 1, 5e-324))  # a subnormal root

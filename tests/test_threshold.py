@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference
 from lfqkd import threshold
 from lfqkd.rates import channel_terms, rate_terms
 from lfqkd.threshold import (
@@ -156,6 +157,48 @@ class TestSweepAgainstScalarReference:
                 above = reference_rate(family, eta, min(e_d_max + 2 * tol, 0.5), mu, eta_c)
                 assert below >= 0.0 > above
             assert solve_threshold_ed(family, eta, tol=tol, mu=mu, eta_c=eta_c) == e_d_max
+
+
+def general_sweep(family, grid, tol, mu, eta_c):
+    """``e_d_max`` at each point of ``grid`` by the general bisection of
+    ``tests/reference.py`` on the rate a solve bisects, ``_ed_rate``; NaN
+    where the rate at e_d = 0 is not positive."""
+    q_s, p_1, y_1 = channel_terms(family, grid.values(), mu, eta_c)
+    e_d_max = np.full(q_s.shape, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kept = threshold._ed_rate(q_s, p_1, y_1)(np.zeros(q_s.shape)) > 0.0
+        if kept.any():
+            f = threshold._ed_rate(q_s[kept], p_1, y_1[kept])
+            hi = np.full(np.count_nonzero(kept), 0.5)
+            e_d_max[kept] = reference.find_root_bisect(f, 0.0, hi, tol=tol)
+    return e_d_max
+
+
+class TestSweepAgainstGeneralBisection:
+    """Whole curves give the bits of the general bisection they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        family=FAMILY,
+        grid=valid_grids(),
+        mu=MU,
+        eta_c=ETA_C,
+        tol=st.floats(5e-324, 0.5, exclude_max=True)
+        | st.integers(2, 1074).map(lambda k: 2.0**-k)
+        | st.sampled_from([1e-9, 1e-12]),
+    )
+    @example(family="coherent", grid=GridSpec(), mu=0.5, eta_c=0.01, tol=1e-9)
+    @example(family="single-photon", grid=GridSpec(0.01, 1.0, 1e-3), mu=0.5, eta_c=0.01, tol=2.0**-50)
+    def test_same_bits_as_the_general_bisection(self, family, grid, mu, eta_c, tol):
+        expected = general_sweep(family, grid, tol, mu, eta_c)
+        kept = ~np.isnan(expected)
+        if not kept.any():
+            with pytest.raises(EmptyCurveError):
+                sweep_curve(family, grid=grid, tol=tol, mu=mu, eta_c=eta_c)
+            return
+        curve = sweep_curve(family, grid=grid, tol=tol, mu=mu, eta_c=eta_c)
+        assert curve.eta.tolist() == grid.values()[kept].tolist()
+        assert curve.e_d_max.view(np.int64).tolist() == expected[kept].view(np.int64).tolist()
 
 
 class TestSweepCurve:
