@@ -27,14 +27,14 @@ scheduled.
 A batch of more than one shard runs its shards on a thread pool, created
 at the first such batch and kept for the process: numpy releases the GIL in
 its RNG fills and in ufuncs over large arrays. The pool is as wide as the
-CPUs this process may run on, and no more shards are in flight than the
-batch has; a one-shard batch, or any batch on a one-CPU host, runs inline
-and creates no pool. Each worker reduces its shard to what the caller keeps
-(the six sifted tallies for ``run_trials``) and results are taken in shard
-order, so tallies and records do not depend on the pool's width or on
-the order in which shards finish.
+CPUs this process may run on, one worker on a one-CPU host, and no more
+shards are in flight than the batch has. Only a one-shard batch runs
+inline, and it creates no pool. Each worker reduces its shard to what the
+caller keeps (the six sifted tallies for ``run_trials``) and results are
+taken in shard order, so tallies and records do not depend on the pool's
+width or on the order in which shards finish.
 
-Each shard of n pulses makes two draws, in this order:
+Each shard of n pulses makes up to two draws, in this order:
 
 1. ``rng.bytes(n)``: one fair byte per pulse, read from the raw 64-bit
    outputs it consumes (``_fair_planes``). Bit 0 is Alice's bit, bit 1
@@ -50,7 +50,10 @@ Each shard of n pulses makes two draws, in this order:
    ``rng.random(n)`` otherwise. They are drawn ``BLOCK`` at a time into
    one small buffer, row 0 in full before row 1; ``rng.random`` fills a
    block with the doubles one whole draw would put there, so the stream is
-   that of the whole draw, without an n-element float array per shard.
+   that of the whole draw, without an n-element float array per shard. A
+   draw whose every threshold is at most 0 or at least 1 (the time-shift
+   attack at e_d = 0, say) flags no pulse or every pulse whatever u is: it
+   is not made, and the stream is advanced past its doubles instead.
 
 Every per-pulse quantity is a bit plane: a uint64 array with pulse
 64*w + j in bit j of word w; no count reads the padding bits. Plane k of
@@ -256,8 +259,19 @@ def _below(rng, n, *thresholds):
 
     The uniforms are drawn ``BLOCK`` at a time into one reused buffer, so
     a shard holds no n-element float array. At most one block is one draw.
+    Every u lies in [0, 1), so a p <= 0 flags no pulse and a p >= 1 every
+    pulse: when no p lies strictly inside (0, 1) the planes are constant
+    and nothing is drawn. The stream is advanced past the n doubles, one
+    raw 64-bit output each, so a later draw reads the doubles it would.
     """
-    p, u = np.array(thresholds)[:, None], np.empty(min(n, BLOCK))
+    p = np.array(thresholds)[:, None]
+    for t in thresholds:  # a loop: any() over a generator adds about 0.6 us a draw
+        if 0.0 < t < 1.0:
+            break
+    else:
+        rng.bit_generator.advance(n)
+        return np.repeat(np.where(p >= 1.0, ~np.uint64(0), np.uint64(0)), -(-n // 64), axis=1)
+    u = np.empty(min(n, BLOCK))
 
     def block_bits(start, stop):
         block = u[: stop - start]
@@ -401,9 +415,9 @@ def _pulse_shards(model, adversary, n_pulses, seed, reduce) -> Iterator:
         n, seed_seq = spec
         return reduce(_simulate_shard(model, adversary, n, np.random.default_rng(seed_seq)))
 
-    width = min(_cpu_count(), -(-n_pulses // SHARD_SIZE))
-    specs = _shard_specs(n_pulses, seed)
-    return map(shard, specs) if width == 1 else _pooled(shard, specs, width)
+    n_shards, specs = -(-n_pulses // SHARD_SIZE), _shard_specs(n_pulses, seed)
+    width = min(_cpu_count(), n_shards)
+    return map(shard, specs) if n_shards == 1 else _pooled(shard, specs, width)
 
 
 def _tally(a: dict) -> np.ndarray:
@@ -487,6 +501,17 @@ def empirical_stats(batch: TrialBatch) -> DetectionStats:
     q_s = batch.n_single / batch.n_pulses if batch.n_pulses else 0.0
     e_s = batch.n_single_errors / max(batch.n_single, 1)
     return DetectionStats(q_s=q_s, e_s=e_s)
+
+
+def traditional_stats(batch: TrialBatch) -> tuple[float, float]:
+    """(Q_c, E_c) of traditional post-processing, which discards no-clicks
+    and keeps single and double clicks: the fraction of sifted pulses that
+    click and their error rate. ``rate_terms(q_c, e_c, q_c, 1)`` is the rate
+    it would claim, fair sampling being the case Y1 = 1 on the kept pulses.
+    """
+    clicks = batch.n_single + batch.n_double
+    q_c = clicks / batch.n_pulses if batch.n_pulses else 0.0
+    return q_c, (batch.n_single_errors + batch.n_double_errors) / max(clicks, 1)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,10 @@ and ``_mix``, is the rate kernel with two entropy calls that
 same bits in all five outputs. ``_tally`` is the shard tally with one pass
 per ``ClickKind`` over int8 arrays that ``lfqkd.simulate`` replaced with one
 popcount over bit planes, kept verbatim: the new form must give the same
-counts on the unpacked planes.
+counts on the unpacked planes. ``_below`` is the flag-plane draw that makes
+every draw, kept verbatim: ``lfqkd.simulate`` skips a draw whose every
+threshold lies outside (0, 1) and advances the stream past it, and with
+this one swapped in a batch must have the same bits.
 """
 
 import math
@@ -33,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from lfqkd.rates import CoherentDecoy, CoherentDecoyMemory, SinglePhoton, key_rate
-from lfqkd.simulate import ClickKind
+from lfqkd.simulate import BLOCK, ClickKind, _packed
 
 DEFAULT_BISECT_TOL = 1e-9
 
@@ -259,3 +262,20 @@ def _tally(a: dict) -> np.ndarray:
         counts[0, k] = np.count_nonzero(is_k & matched)
         counts[1, k] = np.count_nonzero(is_k & matched_err)
     return counts
+
+
+def _below(rng, n, *thresholds):
+    """Flag planes ``u < p``, one row per threshold ``p``, over the next
+    ``n`` uniforms of ``rng``: the flags of ``u = rng.random(n)``.
+
+    The uniforms are drawn ``BLOCK`` at a time into one reused buffer, so
+    a shard holds no n-element float array. At most one block is one draw.
+    """
+    p, u = np.array(thresholds)[:, None], np.empty(min(n, BLOCK))
+
+    def block_bits(start, stop):
+        block = u[: stop - start]
+        rng.random(out=block)
+        return block < p
+
+    return _packed(n, len(thresholds), block_bits)

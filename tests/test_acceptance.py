@@ -17,6 +17,7 @@ from lfqkd.rates import (
     SinglePhoton,
     key_rate,
     key_rate_single_click,
+    rate_terms,
 )
 from lfqkd.simulate import (
     ExtremeTimeShift,
@@ -24,6 +25,7 @@ from lfqkd.simulate import (
     compare_to_analytic,
     empirical_stats,
     run_trials,
+    traditional_stats,
 )
 from lfqkd.threshold import MODEL_FAMILIES, solve_threshold_ed, sweep_curve
 from reference import baseline_rate, binomial_upper_bound, find_root_bisect, model_rate
@@ -162,6 +164,13 @@ def test_threshold_curve_shapes():
     check("full four-curve sweep runs in < 10 s", elapsed < 10.0, f"{elapsed:.2f} s")
 
 
+def traditional_rate(batch) -> float:
+    """The rate traditional post-processing claims: no-clicks discarded,
+    fair sampling (Y1 = 1) on the clicks it keeps."""
+    q_c, e_c = traditional_stats(batch)
+    return float(rate_terms(q_c, e_c, q_c, 1.0)[0])
+
+
 def test_attack_nullification():
     source = SinglePhoton(eta=1.0, e_d=0.0)
 
@@ -194,6 +203,13 @@ def test_attack_nullification():
         "Q_s = 1/2 + 3 sigma, E_s = 0",
         ts_rate <= ts_bound,
         f"rate = {ts_rate:.3e}, bound = {ts_bound:.3e}",
+    )
+    ts_traditional = traditional_rate(ts)
+    check(
+        "extreme time-shift: the traditional rate, no-clicks discarded, is at "
+        "least 1/2 - 3 sigma",
+        ts_traditional >= 0.5 - 3 * sigma_q,
+        f"rate = {ts_traditional:.6f}",
     )
     check(
         "extreme time-shift scenario runs in < 30 s", ts_elapsed < 30.0,
@@ -234,6 +250,12 @@ def test_attack_nullification():
         "Q_s = exact + 3 sigma, E_s exact",
         sp_rate <= sp_bound,
         f"rate = {sp_rate:.3e}, bound = {sp_bound:.3e}",
+    )
+    sp_traditional = traditional_rate(sp)
+    check(
+        "strong pulse: the traditional rate <= 0, from the random bits of its double clicks",
+        sp_traditional <= 0.0,
+        f"rate = {sp_traditional:.3f}",
     )
     check(
         "strong-pulse scenario runs in < 30 s", sp_elapsed < 30.0,

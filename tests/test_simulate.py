@@ -1,15 +1,17 @@
 """Tests for the Monte Carlo detection simulator."""
 
+import functools
 import hashlib
 import math
 import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lfqkd import simulate
 from lfqkd.rates import (
@@ -38,6 +40,7 @@ from lfqkd.simulate import (
     compare_to_analytic,
     empirical_stats,
     run_trials,
+    traditional_stats,
     trial_records,
 )
 import reference
@@ -239,6 +242,56 @@ class TestShardSchedule:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False", "0"]
 
+    def test_one_cpu_host_runs_every_shard_of_a_batch_on_the_pool(self, monkeypatch):
+        # A one-CPU host gets a pool one worker wide; only one-shard batches run inline.
+        n_pulses = 2 * SHARD_SIZE + 17
+        batch = run_trials(COH_MODEL, None, n_pulses, seed=4)
+        records = trial_records(COH_MODEL, None, n_pulses, seed=4).tobytes()
+        threads = []
+
+        def recorded_shard(*args):
+            threads.append(threading.current_thread())
+            return _simulate_shard(*args)
+
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
+        # A pool of its own: the process's pool is as wide as its CPUs.
+        monkeypatch.setattr(simulate, "_executor", functools.cache(simulate._executor.__wrapped__))
+        monkeypatch.setattr(simulate, "_simulate_shard", recorded_shard)
+        try:
+            assert run_trials(COH_MODEL, None, n_pulses, seed=4) == batch
+            assert trial_records(COH_MODEL, None, n_pulses, seed=4).tobytes() == records
+        finally:
+            simulate._executor(os.getpid()).shutdown()
+        assert len(threads) == 6
+        assert threading.main_thread() not in threads
+        assert len(set(threads)) == 1
+
+
+#: Sources and attacks whose draws may have no threshold inside (0, 1): eta
+#: (eta_m) and e_d at 0, at 1 or in between, the time shift at any e_d and
+#: the one-photon strong pulse. Only a skipped draw with a live one after it
+#: shows where the stream was left: a coherent source whose p_c and p_h
+#: round to 1, with p_w about 1/2 at mu 100 and about 1e-10 at mu 1e300.
+LEVELS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+FIXED_DRAW_SCENARIOS = st.one_of(
+    st.builds(lambda eta, e_d: (SinglePhoton(eta=eta, e_d=e_d), None), LEVELS, LEVELS),
+    st.builds(
+        lambda eta_m, e_d: (CoherentDecoyMemory(mu=0.5, eta_c=0.01, eta_m=eta_m, e_d=e_d), None),
+        LEVELS, LEVELS,
+    ),
+    st.builds(
+        lambda mu, eta, e_d: (CoherentDecoy(mu=mu, eta=eta, e_d=e_d), None),
+        st.sampled_from([0.5, 100.0, 1e300]), LEVELS, LEVELS,
+    ),
+    st.builds(lambda e_d: (SinglePhoton(eta=1.0, e_d=e_d), ExtremeTimeShift()), LEVELS),
+    st.sampled_from([
+        (SP_MODEL, StrongPulse(1)),
+        (SP_MODEL, StrongPulse(20)),
+        (CoherentDecoy(mu=100.0, eta=1.0, e_d=0.007), None),
+        (CoherentDecoy(mu=1e300, eta=1.0, e_d=1e-310), None),
+    ]),
+)
+
 
 class TestBlockDraws:
     """The block draws read the same stream as one whole draw."""
@@ -261,6 +314,38 @@ class TestBlockDraws:
         (row_1,) = _below(rng, n, 0.6)
         assert np.array_equal(unpack(row_0, n), u[0] < 0.3)
         assert np.array_equal(unpack(row_1, n), u[1] < 0.6)
+
+    @pytest.mark.parametrize("n", [1, 63, BLOCK + 1, SHARD_SIZE])
+    def test_draw_of_no_live_threshold_is_advanced_over(self, n):
+        rng = np.random.default_rng(n)
+        none, every = _below(rng, n, 0.0, 1.0)
+        assert np.array_equal(unpack(none, n), np.zeros(n))
+        assert np.array_equal(unpack(every, n), np.ones(n))
+        assert np.array_equal(rng.random(n), np.random.default_rng(n).random(2 * n)[n:])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scenario=FIXED_DRAW_SCENARIOS,
+        n_pulses=st.one_of(
+            st.integers(1, 200), st.integers(SHARD_SIZE + 1, SHARD_SIZE + BLOCK)
+        ).filter(lambda n: n % 64),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(scenario=(CoherentDecoy(mu=100.0, eta=1.0, e_d=0.007), None), n_pulses=97, seed=1)
+    @example(
+        scenario=(CoherentDecoy(mu=1e300, eta=1.0, e_d=1e-310), None),
+        n_pulses=SHARD_SIZE + 65, seed=2,
+    )
+    def test_skipped_draws_give_the_bits_of_made_ones(self, scenario, n_pulses, seed):
+        # The reference makes every draw; the same bits show that each
+        # skipped draw is advanced over by exactly its n doubles.
+        model, adversary = scenario
+        batch = run_trials(model, adversary, n_pulses, seed)
+        records = trial_records(model, adversary, n_pulses, seed).tobytes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_below", reference._below)
+            assert run_trials(model, adversary, n_pulses, seed) == batch
+            assert trial_records(model, adversary, n_pulses, seed).tobytes() == records
 
     @pytest.mark.parametrize("n", [*range(1, 18), 4095, 4096, 4097, BLOCK + 1, SHARD_SIZE])
     def test_fair_bytes_are_rng_bytes(self, n):
@@ -538,6 +623,8 @@ class TestEmpiricalStats:
         assert stats.q_s == 0.8
         assert stats.e_s == 0.1
         assert not batch.is_degenerate
+        # Traditional post-processing keeps the 92 clicks, with 13 errors.
+        assert traditional_stats(batch) == (0.92, 13 / 92)
 
     def test_degenerate_batch_flagged(self):
         batch = TrialBatch(
@@ -549,6 +636,7 @@ class TestEmpiricalStats:
         assert batch.is_degenerate
         assert stats.q_s == 0.0
         assert stats.e_s == 0.0
+        assert traditional_stats(batch) == (0.0, 0.0)
 
     def test_summary_schema(self):
         batch = run_trials(SP_MODEL, None, 10_000, seed=1)
