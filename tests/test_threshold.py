@@ -13,6 +13,7 @@ from lfqkd.threshold import (
     GridSpec,
     MAX_GRID_POINTS,
     MODEL_FAMILIES,
+    SOLVE_CHUNK,
     ThresholdCurve,
     curve_to_csv,
     solve_threshold_ed,
@@ -189,6 +190,21 @@ class TestSweepAgainstGeneralBisection:
     )
     @example(family="coherent", grid=GridSpec(), mu=0.5, eta_c=0.01, tol=1e-9)
     @example(family="single-photon", grid=GridSpec(0.01, 1.0, 1e-3), mu=0.5, eta_c=0.01, tol=2.0**-50)
+    # The largest tol that is bisected whole, the cell as wide as the secant's
+    # start point and wider, a grid at the floor, and mu at both ends.
+    @example(
+        family="coherent-memory",
+        grid=GridSpec(0.01, 1.0, 1e-3),
+        mu=0.5,
+        eta_c=0.01,
+        tol=float(np.nextafter(2.0**-50, 0.0)),
+    )
+    @example(family="single-photon", grid=GridSpec(), mu=0.5, eta_c=0.01, tol=0.125)
+    @example(family="coherent", grid=GridSpec(), mu=0.5, eta_c=0.01, tol=0.3)
+    @example(family="single-photon-memory", grid=GridSpec(0.5, 0.51, 1e-4), mu=0.5, eta_c=0.01, tol=1e-9)
+    @example(family="coherent", grid=GridSpec(0.5, 0.51, 1e-4), mu=0.5, eta_c=0.01, tol=1e-12)
+    @example(family="coherent", grid=GridSpec(0.01, 1.0, 1e-3), mu=1e-6, eta_c=0.01, tol=1e-9)
+    @example(family="coherent-memory", grid=GridSpec(0.01, 1.0, 1e-3), mu=30.0, eta_c=0.01, tol=1e-12)
     def test_same_bits_as_the_general_bisection(self, family, grid, mu, eta_c, tol):
         expected = general_sweep(family, grid, tol, mu, eta_c)
         kept = ~np.isnan(expected)
@@ -246,34 +262,71 @@ class TestSweepCurve:
 
 
 class TestSolveCost:
-    """What the bisection of one default-grid curve costs."""
+    """What the solve of one default-grid curve costs."""
 
     @pytest.mark.parametrize("family", MODEL_FAMILIES)
-    def test_one_solve_of_29_calls_in_one_errstate(self, family, monkeypatch):
-        entries, solves = [], []
-        enter, solve = np.errstate.__enter__, threshold.find_root_bisect
+    def test_one_solve_of_9_calls_in_one_errstate(self, family, monkeypatch):
+        entries, calls, solves, bisected = [], [], [], []
+        enter, solve, ed_rate = np.errstate.__enter__, threshold._solve_kept, threshold._ed_rate
 
         def counting_enter(self):
             entries.append(self)
             return enter(self)
 
-        def counted_solve(f, n, tol):
-            calls, before = [], len(entries)
+        def counted_ed_rate(*terms):
+            f = ed_rate(*terms)
+            return lambda x: calls.append(x.shape) or f(x)
 
-            def counted_f(x):
-                calls.append(x.size)
-                return f(x)
-
-            roots = solve(counted_f, n, tol=tol)
+        def counted_solve(*args):
+            before = len(entries)
+            roots = solve(*args)
             solves.append((len(calls), len(entries) - before))
             return roots
 
         monkeypatch.setattr(np.errstate, "__enter__", counting_enter)
-        monkeypatch.setattr(threshold, "find_root_bisect", counted_solve)
+        monkeypatch.setattr(threshold, "_ed_rate", counted_ed_rate)
+        monkeypatch.setattr(threshold, "_solve_kept", counted_solve)
+        monkeypatch.setattr(threshold, "find_root_bisect", lambda f, n, tol: bisected.append(n))
         sweep_curve(family)
-        # 29 midpoints at tol 1e-9 and neither end, none with its own errstate.
-        assert solves == [(29, 1)]
+        # At tol 1e-9: e_d = 1/8, seven secant steps and one check of both
+        # cell ends, in one errstate; no point is bisected.
+        assert solves == [(9, 1)]
+        assert calls[-1] == (2,) + calls[0]
+        assert bisected == []
 
+    @pytest.mark.parametrize("family", MODEL_FAMILIES)
+    @pytest.mark.parametrize(
+        "grid, chunk", [(GridSpec(), SOLVE_CHUNK), (GridSpec(0.1, 1.0, 0.005), 7)]
+    )
+    def test_failed_checks_are_bisected_to_the_same_bits(self, family, grid, chunk, monkeypatch):
+        expected, bisected, solve = sweep_curve(family, grid), [], threshold.find_root_bisect
+
+        def counted_solve(f, n, tol):
+            bisected.append(n)
+            return solve(f, n, tol=tol)
+
+        monkeypatch.setattr(threshold, "SOLVE_CHUNK", chunk)
+        monkeypatch.setattr(threshold, "SECANT_CAP", 0)
+        monkeypatch.setattr(threshold, "find_root_bisect", counted_solve)
+        curve = sweep_curve(family, grid)
+        assert curve.eta.tolist() == expected.eta.tolist()
+        assert curve.e_d_max.view(np.int64).tolist() == expected.e_d_max.view(np.int64).tolist()
+        # With no secant step every cell is proposed at e_d = 1/8, above
+        # every root here: each check fails, and each point is bisected once.
+        assert expected.e_d_max.max() < threshold.SECANT_START
+        assert sum(bisected) == len(curve.eta)
+
+    @pytest.mark.parametrize("offset", [-0.5, 0.5])
+    def test_a_zero_at_either_cell_end_is_bisected(self, offset, monkeypatch):
+        # The rate r - e_d is exactly 0 at its root r, a multiple of the cell
+        # width w = 2^-30 of tol 1e-9. A cell proposed half a width below r
+        # ends at that zero, one proposed half a width above starts at it:
+        # neither passes the check, and the bisection stops at r.
+        tol, width = 1e-9, 2.0**-30
+        r = np.array([1 / 16, 3 / 32, 0.1 // width * width, 0.5 - width])
+        monkeypatch.setattr(threshold, "_ed_rate", lambda q_s, p_1, y_1: lambda e_d: q_s - e_d)
+        monkeypatch.setattr(threshold, "_secant", lambda f, f_0, w: r + offset * w)
+        assert threshold._solve_kept(r, 1.0, r, r, tol).tolist() == r.tolist()
 
     @pytest.mark.parametrize("family", MODEL_FAMILIES)
     def test_chunks_do_not_change_a_bit(self, family, monkeypatch):
