@@ -19,14 +19,13 @@ Each solve returns the root that bisecting e_d in [0, 1/2] to within ``tol``
 gives, bit for bit: a point is kept only where its rate at e_d = 0 is
 positive, and at e_d = 1/2 the rate of every family is -Q_s < 0. The bisection
 ends on a cell of the dyadic grid of width ``w``, the power of two that
-``tol`` fixes. Secant steps on the rate propose that cell, and one rate call
-checks that its lower end is positive and its upper end negative. The rate
-does not increase with e_d (``test_rate_nonincreasing_in_ed``), so the
-bisection, which evaluates only points of that grid, ends on the same cell.
-At ``tol`` 1e-9 a solve of the default grid calls the rate 9 times: once at
-e_d = 1/8, seven secant steps, and the check. ``find_root_bisect``, 29 calls
-at that ``tol``, solves only the points whose check fails, and every point
-where ``tol`` < 2^-50.
+``tol`` fixes. Secant steps on the rate find that cell, and a rate call checks
+that its lower end is positive and its upper end negative. The rate does not
+increase with e_d (``test_rate_nonincreasing_in_ed``), so the bisection, which
+evaluates only points of that grid, ends on the same cell. At ``tol`` 1e-9 a
+default-grid solve calls the rate 8 times: on e_d = 0 and 1/8, six secant
+steps, and a seventh stacked with its cells' ends, the check.
+``find_root_bisect`` solves the points no check confirms, and all at ``tol`` < 2^-50.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import MODEL_FAMILIES, _assigned, _rate_kernel, channel_terms, check_inputs, rate_terms
+from .rates import MODEL_FAMILIES, _assigned, _rate_kernel, channel_terms, check_inputs
 from .rates import key_rate  # noqa: F401  -- not called here; bench/tracing.py patches it
 
 DEFAULT_MU = 0.5
@@ -59,8 +58,11 @@ SOLVE_CHUNK = 2**14
 #: Second start point of the secant steps that propose each root's cell.
 SECANT_START = 0.125
 
-#: Most secant steps a solve takes before it checks the cells they propose.
+#: Most secant steps a solve takes; the rate call of the last checks its cells.
 SECANT_CAP = 16
+
+#: Once no secant step spans more final cells than this, each rate call checks.
+SECANT_CHECK = 16
 
 
 class EmptyCurveError(ValueError):
@@ -171,54 +173,59 @@ def _ed_rate(q_s: np.ndarray, p_1, y_1: np.ndarray):
     return lambda e_d: _rate_kernel(q_s, e_d, e_d, y_1, signal, assigned, e_d.shape)[0]
 
 
-def _secant(f, f_0: np.ndarray, width: float) -> np.ndarray:
-    """Secant iterates of the root of ``f`` over e_d, from e_d = 0, where ``f``
-    is ``f_0``, and ``SECANT_START``: every point steps together, clipped to
-    [0, 1/2]. A point freezes at a non-finite step, which it does not take,
-    or after a step of at most ``width/64``. Stops when none is live or after
-    ``SECANT_CAP`` steps; returns the last iterates."""
-    x_0, x_1 = np.zeros(f_0.shape), np.full(f_0.shape, SECANT_START)
-    f_1, live = f(x_1), np.ones(f_0.shape, dtype=bool)
-    for _ in range(SECANT_CAP):
-        step = f_1 * (x_1 - x_0) / (f_0 - f_1)
-        live &= np.isfinite(step)
-        x_0, f_0 = x_1, f_1
-        x_1 = np.clip(np.where(live, x_1 + step, x_1), 0.0, E_D_MAX)
-        live &= np.abs(step) > width / 64
-        if not np.count_nonzero(live):
-            break
-        f_1 = f(x_1)
-    return x_1
+def _secant_step(x_0, f_0, x_1, f_1, out: np.ndarray) -> np.ndarray:
+    """The secant step from ``x_1``, through ``(x_0, f_0)``, in ``out``: 0 where
+    ``f_0 == f_1``, so a point whose steps have stopped stays where it is."""
+    slope = f_0 - f_1
+    slope[slope == 0.0] = np.inf
+    np.multiply(f_1, np.subtract(x_1, x_0, out=out), out=out)
+    return np.divide(out, slope, out=out)
 
 
-def _solve_kept(q_s: np.ndarray, p_1, y_1: np.ndarray, f_0: np.ndarray, tol: float) -> np.ndarray:
+def _solve_kept(q_s: np.ndarray, p_1, y_1: np.ndarray, f_start, tol: float) -> np.ndarray:
     """Roots in e_d, with the bits of ``find_root_bisect``, at points whose
-    rate ``f_0`` at e_d = 0 is positive.
+    rate is ``f_start[0] > 0`` at e_d = 0 and ``f_start[1]`` at
+    ``SECANT_START``; call it in an ``np.errstate``.
 
     For ``tol`` >= 2^-50 the bisection ends on a cell of width
     ``w = 2^(e-1)``, ``e = frexp(tol)[1]``, and returns ``lo + w/2``, where
     ``lo`` is the last multiple of ``w`` with a positive rate. Secant steps
-    propose ``lo``, and one rate call on ``(lo, lo + w)`` confirms it where
-    ``f(lo) > 0 > f(lo + w)``. The bisection evaluates both points, or for
-    ``lo + w`` = 1/2 knows the rate is negative there, so as the rate does
-    not increase with e_d, a confirmed cell is the bisection's; it lies in
-    [0, 1/2], as the secant iterates do and the rate at 1/2 is negative.
-    Points whose check fails, and every point at a smaller ``tol``, are
-    bisected.
+    move every point together, clipped to [0, 1/2]. Once no step spans more
+    than ``SECANT_CHECK`` cells, and at the last of ``SECANT_CAP`` steps, the
+    rate call is on the iterate b stacked with ``lo = floor(b/w)*w`` and
+    ``lo + w``: it confirms the cell where ``f(lo) > 0 > f(lo + w)``, which,
+    as the rate does not increase with e_d and the bisection evaluates both
+    ends (or knows f(1/2) < 0), is the bisection's. The solve returns once
+    every point has one. Points left unconfirmed at the cap, or when a check
+    adds none after steps of at most a cell, are bisected, as is every point
+    at a smaller ``tol``.
     """
-    f = _ed_rate(q_s, p_1, y_1)
+    (f_0, f_1), f, n = f_start, _ed_rate(q_s, p_1, y_1), len(q_s)
     if tol < 2.0**-50:
-        return find_root_bisect(f, len(f_0), tol=tol)
+        return find_root_bisect(f, n, tol=tol)
     width = math.ldexp(1.0, math.frexp(tol)[1] - 1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lo = np.floor(_secant(f, f_0, width) / width) * width
-        f_lo, f_hi = f(np.stack((lo, lo + width)))
-    root = lo + 0.5 * width
-    failed = ~((f_lo > 0.0) & (f_hi < 0.0))
-    n_failed = np.count_nonzero(failed)
-    if n_failed:
-        f_failed = _ed_rate(q_s[failed], p_1, y_1[failed])
-        root[failed] = find_root_bisect(f_failed, n_failed, tol=tol)
+    x_0, x_1, step = np.zeros(n), np.full(n, SECANT_START), np.empty(n)
+    cells, root = np.empty((3, n)), np.full(n, np.nan)
+    lo, hi, n_left = cells[1], cells[2], n
+    for steps_left in reversed(range(SECANT_CAP)):
+        x_next = np.add(x_1, _secant_step(x_0, f_0, x_1, f_1, out=step), out=x_0)
+        np.minimum(np.maximum(x_next, 0.0, out=x_next), E_D_MAX, out=x_next)
+        x_0, x_1, f_0 = x_1, x_next, f_1
+        if steps_left and np.count_nonzero(np.abs(step, out=step) > SECANT_CHECK * width):
+            f_1 = f(x_1)
+            continue
+        np.copyto(cells[0], x_1)
+        np.multiply(np.floor(np.divide(x_1, width, out=lo), out=lo), width, out=lo)
+        np.add(lo, width, out=hi)
+        f_1, f_lo, f_hi = f(cells)
+        np.copyto(root, lo + 0.5 * width, where=(f_lo > 0.0) & (f_hi < 0.0))
+        n_left, n_before = np.count_nonzero(np.isnan(root)), n_left
+        if not n_left:
+            return root
+        if n_left == n_before and not np.count_nonzero(step > width):
+            break  # no new cell, and no step spans a cell: more would not help
+    failed = np.isnan(root)
+    root[failed] = find_root_bisect(_ed_rate(q_s[failed], p_1, y_1[failed]), n_left, tol=tol)
     return root
 
 
@@ -228,9 +235,9 @@ def _solve_grid(
     """Largest e_d with a nonnegative rate at each eta, NaN where there is none.
 
     ``etas`` must lie in (0, 1], as ``GridSpec`` guarantees. Validates the
-    other inputs once; per ``SOLVE_CHUNK`` points (elementwise, so the same
-    bits), drops those whose rate at e_d = 0 is already nonpositive and
-    solves the rest together over e_d in [0, 1/2] on the rate kernel.
+    other inputs once. Per ``SOLVE_CHUNK`` points (elementwise, so the same
+    bits), in one ``np.errstate``: drops the points whose rate at e_d = 0,
+    of one call at 0 and ``SECANT_START``, is nonpositive; solves the rest.
     """
     check_inputs(
         eta_c=eta_c if family == "coherent-memory" else None,
@@ -246,10 +253,13 @@ def _solve_grid(
     for start in range(0, len(etas), SOLVE_CHUNK):
         chunk = slice(start, start + SOLVE_CHUNK)
         q_c, y_c = q_s[chunk], y_1[chunk]
-        f_0 = rate_terms(q_c, np.zeros(q_c.shape), p_1, y_c)[0]
-        kept = f_0 > 0.0
-        if kept.any():
-            e_d_max[chunk][kept] = _solve_kept(q_c[kept], p_1, y_c[kept], f_0[kept], tol)
+        x_start = np.zeros((2,) + q_c.shape)
+        x_start[1] = SECANT_START
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            f_start = _ed_rate(q_c, p_1, y_c)(x_start)
+            kept = f_start[0] > 0.0
+            if kept.any():
+                e_d_max[chunk][kept] = _solve_kept(q_c[kept], p_1, y_c[kept], f_start[:, kept], tol)
     return e_d_max
 
 
@@ -283,7 +293,7 @@ def sweep_curve(
     """Threshold curve of ``family`` over an eta grid.
 
     Every grid point is solved at once, on arrays, with ``channel_terms``
-    and the rate kernel ``rate_terms`` of ``lfqkd.rates``. Grid points
+    and the kernel of ``rate_terms`` in ``lfqkd.rates``. Grid points
     without a tolerable e_d are omitted. Points are emitted in grid order
     (strictly increasing eta), so the result is deterministic. Raises
     EmptyCurveError when every grid point is below the floor.

@@ -1,5 +1,8 @@
 """Tests for the tolerance-boundary solver and curve sweep."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -108,6 +111,27 @@ class TestRateProperties:
         (kept,) = rate_terms(q_s, np.zeros(1), p_1, y_1)[0] > 0.0
         assert kept == (at_zero > 0.0)
         assert not at_zero > 0.0 or at_half < 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=FAMILY, etas=st.lists(ETA, min_size=1, max_size=8), mu=MU, eta_c=ETA_C)
+    def test_start_call_keeps_what_rate_terms_keeps(self, family, etas, mu, eta_c):
+        # The kept test, and with it the 50% floor, reads row 0 of the solve's
+        # first rate call: it must have the bits of the rate formula at e_d = 0.
+        etas, starts, ed_rate = np.array(etas), [], threshold._ed_rate
+
+        def recorded_ed_rate(*terms):
+            f = ed_rate(*terms)
+            return lambda x: starts.append((x.copy(), f(x))) or starts[-1][1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(threshold, "_ed_rate", recorded_ed_rate)
+            e_d_max = threshold._solve_grid(family, etas, 1e-9, mu, eta_c)
+        x_start, f_start = starts[0]
+        q_s, p_1, y_1 = channel_terms(family, etas, mu, eta_c)
+        at_zero = rate_terms(q_s, np.zeros(etas.shape), p_1, y_1)[0]
+        assert x_start.tolist() == [[0.0] * len(etas), [threshold.SECANT_START] * len(etas)]
+        assert f_start[0].view(np.int64).tolist() == at_zero.view(np.int64).tolist()
+        assert np.isnan(e_d_max).tolist() == (~(at_zero > 0.0)).tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(family=FAMILY, eta=ETA, mu=MU, eta_c=ETA_C, e_a=E_D, e_b=E_D)
@@ -265,9 +289,9 @@ class TestSolveCost:
     """What the solve of one default-grid curve costs."""
 
     @pytest.mark.parametrize("family", MODEL_FAMILIES)
-    def test_one_solve_of_9_calls_in_one_errstate(self, family, monkeypatch):
-        entries, calls, solves, bisected = [], [], [], []
-        enter, solve, ed_rate = np.errstate.__enter__, threshold._solve_kept, threshold._ed_rate
+    def test_one_solve_of_8_calls_in_one_errstate(self, family, monkeypatch):
+        entries, calls, bisected, ed_rate = [], [], [], threshold._ed_rate
+        enter = np.errstate.__enter__
 
         def counting_enter(self):
             entries.append(self)
@@ -277,21 +301,16 @@ class TestSolveCost:
             f = ed_rate(*terms)
             return lambda x: calls.append(x.shape) or f(x)
 
-        def counted_solve(*args):
-            before = len(entries)
-            roots = solve(*args)
-            solves.append((len(calls), len(entries) - before))
-            return roots
-
         monkeypatch.setattr(np.errstate, "__enter__", counting_enter)
         monkeypatch.setattr(threshold, "_ed_rate", counted_ed_rate)
-        monkeypatch.setattr(threshold, "_solve_kept", counted_solve)
         monkeypatch.setattr(threshold, "find_root_bisect", lambda f, n, tol: bisected.append(n))
-        sweep_curve(family)
-        # At tol 1e-9: e_d = 1/8, seven secant steps and one check of both
-        # cell ends, in one errstate; no point is bisected.
-        assert solves == [(9, 1)]
-        assert calls[-1] == (2,) + calls[0]
+        curve = sweep_curve(family)
+        # At tol 1e-9: e_d = 0 and 1/8 on every grid point, six secant steps
+        # on the kept points, and a seventh whose call on the iterate and its
+        # cell's ends confirms every cell; one errstate, no point bisected.
+        n, n_kept = len(GridSpec().values()), len(curve.eta)
+        assert calls == [(2, n)] + [(n_kept,)] * 6 + [(3, n_kept)]
+        assert len(entries) == 1
         assert bisected == []
 
     @pytest.mark.parametrize("family", MODEL_FAMILIES)
@@ -311,22 +330,92 @@ class TestSolveCost:
         curve = sweep_curve(family, grid)
         assert curve.eta.tolist() == expected.eta.tolist()
         assert curve.e_d_max.view(np.int64).tolist() == expected.e_d_max.view(np.int64).tolist()
-        # With no secant step every cell is proposed at e_d = 1/8, above
-        # every root here: each check fails, and each point is bisected once.
+        # With no secant step no cell is checked (and every root here lies
+        # below the start point 1/8): each point is bisected once.
         assert expected.e_d_max.max() < threshold.SECANT_START
         assert sum(bisected) == len(curve.eta)
+
+    @pytest.mark.parametrize("family", MODEL_FAMILIES)
+    @pytest.mark.parametrize(
+        "grid, chunk", [(GridSpec(), SOLVE_CHUNK), (GridSpec(0.1, 1.0, 0.005), 7)]
+    )
+    @pytest.mark.parametrize("check_every_step", [True, False])
+    def test_checks_on_every_step_or_only_the_last_give_the_same_bits(
+        self, family, grid, chunk, check_every_step, monkeypatch
+    ):
+        expected, calls, solves = sweep_curve(family, grid), [], []
+        ed_rate, solve = threshold._ed_rate, threshold._solve_kept
+
+        def counted_ed_rate(*terms):
+            f = ed_rate(*terms)
+            return lambda x: calls.append(x.shape[:-1]) or f(x)
+
+        monkeypatch.setattr(threshold, "SOLVE_CHUNK", chunk)
+        # A step spans at most inf cells, and more than -1 cells.
+        monkeypatch.setattr(threshold, "SECANT_CHECK", math.inf if check_every_step else -1.0)
+        monkeypatch.setattr(threshold, "_ed_rate", counted_ed_rate)
+        monkeypatch.setattr(threshold, "_solve_kept", lambda *a: solves.append(1) or solve(*a))
+        curve = sweep_curve(family, grid)
+        assert curve.eta.tolist() == expected.eta.tolist()
+        assert curve.e_d_max.view(np.int64).tolist() == expected.e_d_max.view(np.int64).tolist()
+        # Every rate call of a step checks, or only the last of SECANT_CAP.
+        if check_every_step:
+            assert () not in calls
+        else:
+            assert calls.count(()) == (threshold.SECANT_CAP - 1) * len(solves)
+            assert calls.count((3,)) == len(solves)
 
     @pytest.mark.parametrize("offset", [-0.5, 0.5])
     def test_a_zero_at_either_cell_end_is_bisected(self, offset, monkeypatch):
         # The rate r - e_d is exactly 0 at its root r, a multiple of the cell
-        # width w = 2^-30 of tol 1e-9. A cell proposed half a width below r
-        # ends at that zero, one proposed half a width above starts at it:
-        # neither passes the check, and the bisection stops at r.
-        tol, width = 1e-9, 2.0**-30
+        # width w = 2^-30 of tol 1e-9. A step onto half a width below r
+        # gives a cell that ends at that zero, one onto half a width above a
+        # cell that starts at it: no check passes, and the bisection stops at r.
+        tol, width, calls, bisected, solve = 1e-9, 2.0**-30, [], [], threshold.find_root_bisect
         r = np.array([1 / 16, 3 / 32, 0.1 // width * width, 0.5 - width])
-        monkeypatch.setattr(threshold, "_ed_rate", lambda q_s, p_1, y_1: lambda e_d: q_s - e_d)
-        monkeypatch.setattr(threshold, "_secant", lambda f, f_0, w: r + offset * w)
-        assert threshold._solve_kept(r, 1.0, r, r, tol).tolist() == r.tolist()
+
+        def counted_solve(f, n, tol):
+            bisected.append(n)
+            return solve(f, n, tol=tol)
+
+        def step_onto(x_0, f_0, x_1, f_1, out):
+            return np.subtract(r + offset * width, x_1, out=out)
+
+        def rate(q_s, p_1, y_1):
+            return lambda e_d: calls.append(e_d.shape) or q_s - e_d
+
+        monkeypatch.setattr(threshold, "_ed_rate", rate)
+        monkeypatch.setattr(threshold, "_secant_step", step_onto)
+        monkeypatch.setattr(threshold, "find_root_bisect", counted_solve)
+        f_start = np.stack((r, r - threshold.SECANT_START))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            assert threshold._solve_kept(r, 1.0, r, f_start, tol).tolist() == r.tolist()
+        # The step onto the cells, then one check: the next steps are 0, so
+        # a check that confirms no cell ends the steps.
+        assert calls[:2] == [(len(r),), (3, len(r))] and (3, len(r)) not in calls[2:]
+        assert bisected == [len(r)]
+
+    def test_tol_2_to_the_minus_50_stops_on_its_check(self, monkeypatch):
+        # At tol 2^-50 the secant steps end at the float spacing of e_d; the
+        # solve that froze a point only after a step of at most w/64 took
+        # SECANT_CAP steps here (18 rate calls). The check stops it early.
+        grid, kwargs = GridSpec(0.9, 1.0, 0.01), dict(tol=2.0**-50, mu=0.01, eta_c=1e-6)
+        expected = general_sweep("coherent-memory", grid, kwargs["tol"], 0.01, 1e-6)
+        calls, bisected, ed_rate = [], [], threshold._ed_rate
+
+        def counted_ed_rate(*terms):
+            f = ed_rate(*terms)
+            return lambda x: calls.append(x.shape) or f(x)
+
+        monkeypatch.setattr(threshold, "_ed_rate", counted_ed_rate)
+        monkeypatch.setattr(threshold, "find_root_bisect", lambda f, n, tol: bisected.append(n))
+        curve = sweep_curve("coherent-memory", grid, **kwargs)
+        assert curve.e_d_max.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert hashlib.sha256(curve.e_d_max.tobytes()).hexdigest() == (
+            "166bc2393305fdb8398365236291406e0252720d3db53a84505fde42a66b24f7"
+        )
+        assert len(calls) <= 10 and calls[-1] == (3, len(curve.eta))
+        assert bisected == []
 
     @pytest.mark.parametrize("family", MODEL_FAMILIES)
     def test_chunks_do_not_change_a_bit(self, family, monkeypatch):
