@@ -25,7 +25,8 @@ increase with e_d (``test_rate_nonincreasing_in_ed``), so the bisection, which
 evaluates only points of that grid, ends on the same cell. At ``tol`` 1e-9 a
 default-grid solve calls the rate 8 times: on e_d = 0 and 1/8, six secant
 steps, and a seventh stacked with its cells' ends, the check.
-``find_root_bisect`` solves the points no check confirms, and all at ``tol`` < 2^-50.
+``find_root_bisect``, one plain halving loop on every bracket, solves the
+points no check confirms, and all at ``tol`` < 2^-50.
 """
 
 from __future__ import annotations
@@ -118,51 +119,28 @@ def find_root_bisect(f, n: int, tol: float = DEFAULT_BISECT_TOL) -> np.ndarray:
     """Bisect ``f`` over e_d in [0, 1/2] at each of ``n`` points; return the roots.
 
     Precondition, not checked: ``f(0) > 0 > f(1/2)`` at every point and
-    ``0 < tol < 1/2``. So the ends are not evaluated, only one midpoint per
-    bracket and halving. A bracket stops when its width is at most ``tol``,
-    its midpoint is not strictly inside it, or ``f`` is exactly zero there;
-    that midpoint is its root. All brackets start as [0, 1/2] and go on
-    halving once their root is fixed, so they share one width w, a power of
-    two, while w > t = max(tol, 2^-50): there none can stop, as w > tol and
-    the midpoint ``lo + w/2`` is a multiple of 2^-50 below 1/2, so exact and
-    strictly inside. These first ``-frexp(t)[1]`` halvings (all 29 at ``tol``
-    1e-9) carry w as a float, with no upper ends and no stop test, and pass
-    ``f`` one reused array, which ``f`` must not keep. The rest test each
-    midpoint ``0.5*(lo + hi)`` from ``hi = lo + w``. All run in one ``np.errstate``.
+    ``0 < tol < 1/2``. So neither end is evaluated, only the midpoints
+    ``0.5*(lo + hi)``, once per halving. A bracket stops when its width is at
+    most ``tol``, its midpoint is not strictly inside it, or ``f`` is exactly
+    zero there; that midpoint is its root. Brackets already stopped keep
+    halving, so all share one width, a power of two while midpoints are
+    exact. For ``tol`` >= 2^-50 each root is the first midpoint where ``f`` is
+    exactly zero, or else ``lo + w/2`` on a cell ``[lo, lo + w]`` of width
+    ``w = 2^(e-1)``, ``e = frexp(tol)[1]``. The solve runs in one ``np.errstate``.
     """
-    lo, root, active = np.zeros(n), np.full(n, np.nan), np.ones(n, dtype=bool)
-    mid, to_lo, w = np.empty(n), np.empty(n, dtype=bool), E_D_MAX
-
-    def stop_at_zeros(f_mid, mid):
-        """Fix the root where ``f`` is zero; the count of points still active."""
-        at_mid = (f_mid == 0.0) & active
-        root[at_mid] = mid[at_mid]
-        active[at_mid] = False
-        return np.count_nonzero(active)
-
+    lo, hi = np.zeros(n), np.full(n, E_D_MAX)
+    root, active = np.full(n, np.nan), np.ones(n, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # Scatter only where f == 0 somewhere (count_nonzero beats any()).
-        for _ in range(-math.frexp(max(tol, 2.0**-50))[1]):
-            w *= 0.5
-            f_mid = f(np.add(lo, w, out=mid))
-            if np.count_nonzero(f_mid) < n and not stop_at_zeros(f_mid, mid):
-                return root
-            np.copyto(lo, mid, where=np.greater(f_mid, 0.0, out=to_lo))
-        hi = lo + w
         while True:
             mid = 0.5 * (lo + hi)
-            go_on = (hi - lo > tol) & (lo < mid) & (mid < hi)
-            stop = active & ~go_on
-            if np.count_nonzero(stop):
-                root[stop] = mid[stop]
-                active &= go_on
-            if not np.count_nonzero(active):
+            np.copyto(root, mid, where=active)  # so a root is the midpoint it stops at
+            active &= (hi - lo > tol) & (lo < mid) & (mid < hi)
+            if not active.any():
                 return root
             f_mid = f(mid)
-            if np.count_nonzero(f_mid) < n and not stop_at_zeros(f_mid, mid):
-                return root
-            # Brackets already done keep halving; their roots are fixed.
-            np.copyto(lo, mid, where=np.greater(f_mid, 0.0, out=to_lo))
+            active &= f_mid != 0.0
+            to_lo = f_mid > 0.0
+            np.copyto(lo, mid, where=to_lo)
             np.copyto(hi, mid, where=~to_lo)
 
 

@@ -5,6 +5,8 @@
 ``lfqkd``; ``baseline_rate`` is its basis-independent case at Q_s = 1.
 ``model_rate`` is not a reference: it is the rate of ``lfqkd``'s
 own model path, by family. ``binomial_upper_bound`` is an exact binomial tail.
+``single_click_rate_sd`` is the delta-method standard deviation of the
+single-click rate a Monte Carlo batch estimates.
 ``binary_entropy_array`` is the masked entropy that ``lfqkd.numerics``
 replaced with fewer numpy calls, kept verbatim: the new form must give the
 same bits. ``find_root_bisect`` is the general bisection loop, kept verbatim,
@@ -12,12 +14,8 @@ that ``lfqkd.threshold.find_root_bisect`` replaced with a solver of the one
 bracket the threshold solve has, e_d in [0, 1/2] with f(0) > 0 > f(1/2):
 there the new solver must give the same bits and call ``f`` at the same
 midpoints, which are the reference's calls without its two calls at the
-ends. The reference computes each midpoint as ``0.5*(lo + hi)`` and tests
-every bracket before each halving; the new solver skips that test while
-the shared bracket width exceeds max(tol, 2^-50) and computes those
-midpoints as ``lo + w/2``, which is the same float there. Whole threshold
-curves are checked against a sweep that drives it, and the acceptance tests
-also derive the Bell-test efficiency with it.
+ends. Whole threshold curves are checked against a sweep that drives it,
+and the acceptance tests also derive the Bell-test efficiency with it.
 ``rate_terms``, with its ``_binary_entropy_kernel``
 and ``_mix``, is the rate kernel with two entropy calls that
 ``lfqkd.rates`` replaced with one, kept verbatim: the new form must give the
@@ -109,6 +107,25 @@ def binomial_upper_bound(n, p, level=THREE_SIGMA_TAIL):
         if 1.0 - cdf <= level:
             return k
     return n
+
+
+def single_click_rate_sd(q_s, e_s, n):
+    """Standard deviation, to first order, of the single-click rate
+    q*(1 - H2(e) - H2(min(e + (1 - q)/(2q), 1/2))) at the (q, e) of ``n``
+    sifted pulses, where q ~ Binomial(n, ``q_s``)/n and e, the error rate of
+    the q*n single clicks, ~ Binomial(q*n, ``e_s``)/(q*n): uncorrelated, each
+    with its binomial variance, times the rate's partial derivative.
+    Needs 0 < ``q_s`` <= 1 and 0 < ``e_s`` < 1/2."""
+
+    def slope(x):  # dH2/dx, 0 at x = 1/2
+        return math.log2((1.0 - x) / x)
+
+    phase = min(e_s + (1.0 - q_s) / (2.0 * q_s), 0.5)
+    d_q = 1.0 - _h2(e_s) - _h2(phase) + slope(phase) / (2.0 * q_s)
+    d_e = -q_s * (slope(e_s) + slope(phase))
+    return math.hypot(
+        d_q * math.sqrt(q_s * (1.0 - q_s) / n), d_e * math.sqrt(e_s * (1.0 - e_s) / (q_s * n))
+    )
 
 
 def binary_entropy_array(x: np.ndarray) -> np.ndarray:

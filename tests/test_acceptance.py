@@ -5,6 +5,7 @@ criterion. Every tolerance is pinned here; the Monte Carlo checks run at
 fixed seeds so the whole suite is deterministic.
 """
 
+import itertools
 import json
 import math
 import time
@@ -28,10 +29,31 @@ from lfqkd.simulate import (
     traditional_stats,
 )
 from lfqkd.threshold import MODEL_FAMILIES, solve_threshold_ed, sweep_curve
-from reference import baseline_rate, binomial_upper_bound, find_root_bisect, model_rate
+from reference import (
+    baseline_rate,
+    binomial_upper_bound,
+    find_root_bisect,
+    model_rate,
+    single_click_rate_sd,
+)
 
 ATTACK_SEED = 6
 HONEST_SEEDS = range(100)
+
+# The simulator against the single-photon curves: batches of CURVE_PULSES
+# generated pulses (about half of them sifted) at e_d_max -/+ CURVE_OFFSET,
+# CURVE_SEEDS seeds per point. At these points the empirical rate has an sd
+# of at most 2.7e-3 (``single_click_rate_sd``) and the expected |rate| is at
+# least 0.022, so CURVE_OFFSET keeps it more than CURVE_SIGMAS sd from 0.
+CURVE_ETAS = (0.6, 0.8, 1.0)
+CURVE_OFFSET = 0.005
+CURVE_PULSES = 1_000_000
+CURVE_SEEDS = 5
+CURVE_SIGMAS = 6.0
+#: Chance that a batch misses, bounded by the normal tail beyond CURVE_SIGMAS.
+CURVE_MISS_RATE = 0.5 * math.erfc(CURVE_SIGMAS / math.sqrt(2.0))
+#: Chance that a point fails its gate, as in the benchmark's allowed_misses.
+FALSE_ALARM = 1e-6
 
 
 def check(name: str, ok: bool, detail: str = "") -> None:
@@ -295,6 +317,40 @@ def test_monte_carlo_matches_analytic_across_seeds():
                 mean_offset <= budget,
                 f"offset = {mean_offset:.5f}, budget = {budget:.5f}",
             )
+
+
+def test_monte_carlo_rate_changes_sign_at_the_single_photon_curves():
+    # single-photon-memory is the single-photon source at eta_m.
+    seeds = itertools.count(2000)  # a seed of its own per batch
+    allowed = binomial_upper_bound(CURVE_SEEDS, CURVE_MISS_RATE, level=FALSE_ALARM)
+    for family in ("single-photon", "single-photon-memory"):
+        for eta in CURVE_ETAS:
+            e_d_max = solve_threshold_ed(family, eta)
+            for sign in (-1.0, 1.0):
+                model = SinglePhoton(eta=eta, e_d=e_d_max + sign * CURVE_OFFSET)
+                expected = key_rate(model).rate
+                sd = single_click_rate_sd(eta, model.e_d, CURVE_PULSES // 2)
+                side = "below" if sign < 0 else "above"
+                check(
+                    f"{family} at eta {eta}, {side} the curve: the expected rate is "
+                    f"at least {CURVE_SIGMAS:g} sd from 0 with the sign of the side",
+                    -sign * expected >= CURVE_SIGMAS * sd,
+                    f"e_d = {model.e_d:.5f}, rate = {expected:+.4f}, sd = {sd:.1e}",
+                )
+                rates = [
+                    key_rate_single_click(
+                        empirical_stats(run_trials(model, None, CURVE_PULSES, seed=next(seeds)))
+                    ).rate
+                    for _ in range(CURVE_SEEDS)
+                ]
+                misses = sum(-sign * rate <= 0.0 for rate in rates)
+                check(
+                    f"{family} at eta {eta}, {side} the curve: empirical single-click "
+                    f"rates of the wrong sign within the binomial allowance",
+                    misses <= allowed,
+                    f"{misses}/{CURVE_SEEDS} missed, {allowed} allowed; "
+                    f"rates {min(rates):+.4f} to {max(rates):+.4f}",
+                )
 
 
 def test_cli_outputs_are_byte_identical(tmp_path):

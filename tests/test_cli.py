@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from lfqkd import cli
+from lfqkd import cli, threshold
 from lfqkd.cli import (
     ADVERSARIES,
     EXIT_DEGENERATE,
@@ -51,6 +51,33 @@ THRESHOLD_JSON_SHA256 = {
     "coherent": "12d69f49daaaf9c229d3cef2acb5479b332e72310062be9e4200bee70cf92120",
     "coherent-memory": "1fa635942446b0d59a410051aacc044cc8d5ea23b831c5111e4f53aaad2e26a2",
     "single-photon-memory": "583432f294acd075558800e8a6a69fff4b97ec35896903bdf02f01daf50453f6",
+}
+# sha256 of threshold CSV and JSON where the solve bisects some points: by
+# family at tol 2^-50 (1-2 default-grid points each, among them cell ends
+# where the rate is exactly 0), and single-photon at tol 1e-300 on eta 0.9.
+TOL_2_TO_THE_MINUS_50 = ("--tol", "8.881784197001252e-16")
+TOL_1E_300 = ("--tol", "1e-300", "--eta-min", "0.9", "--eta-max", "0.9")
+BISECTED_SHA256 = {
+    ("single-photon", TOL_2_TO_THE_MINUS_50): (
+        "914c3d4736347f5fb675d07258b8e1631a15072c138cce367f404624ea0abf64",
+        "ef9b35e1b3a8836fa43f5a066a8f4ce622e69b92ab59c9c33ad9ec732b9f0af7",
+    ),
+    ("coherent", TOL_2_TO_THE_MINUS_50): (
+        "e864fb2c63a01cda01abeccec702009c462f8e3bf3af06f650c2ad9f09c2057e",
+        "57d8706cc9284cc07c41382d5590deb812db861740d5b5ab7b08b5810944323e",
+    ),
+    ("coherent-memory", TOL_2_TO_THE_MINUS_50): (
+        "e4163f26ebe6f31f42e701828e42eb48a2d9263d3628b4797b7905a4e1662a48",
+        "6c68af0f6f9d18f7254733008c866a642ceabe6ee406c01f1121bc67174253dc",
+    ),
+    ("single-photon-memory", TOL_2_TO_THE_MINUS_50): (
+        "f0391e60915659efa87f0ad951a80eb3bf0ae03748d7900a61a9d55aa7672962",
+        "cc13976d0d37d123a63e31001ce3f0627f74957a6e59e521b62985f4265e53c5",
+    ),
+    ("single-photon", TOL_1E_300): (
+        "bcd0010ceed49a6cdff46522fd34a3c888f970e7d3bd068cde405e777b926266",
+        "9e518fbebcb9ba72c8878bf842247fecc90625bb075be15e0c83fde98c64a95f",
+    ),
 }
 
 # Flags of the benchmark's five mc-batches scenarios.
@@ -251,6 +278,24 @@ class TestThresholdCommand:
         assert run_cli("threshold", "--model", family, "--format", "json") == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == THRESHOLD_JSON_SHA256[family]
+
+    @pytest.mark.parametrize("family, tol_flags", sorted(BISECTED_SHA256))
+    def test_bisected_curve_bytes_pinned(self, capsys, monkeypatch, family, tol_flags):
+        bisected, solve = [], threshold.find_root_bisect
+
+        def counted_solve(f, n, tol):
+            bisected.append(n)
+            return solve(f, n, tol)
+
+        monkeypatch.setattr(threshold, "find_root_bisect", counted_solve)
+        csv_sha256, json_sha256 = BISECTED_SHA256[family, tol_flags]
+        assert run_cli("threshold", "--model", family, *tol_flags) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == csv_sha256
+        assert run_cli("threshold", "--model", family, *tol_flags, "--format", "json") == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == json_sha256
+        assert len(bisected) == 2 and bisected[0] == bisected[1] > 0
 
     def test_tol_below_float_spacing_converges(self, capsys):
         grid = ("--model", "coherent", "--eta-min", "0.6", "--step", "0.1", "--format", "json")

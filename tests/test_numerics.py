@@ -237,10 +237,10 @@ class TestMatchesTheMaskedForms:
     @given(solves())
     @example((lambda x: 0.25 - x, 1, 1e-300))  # f == 0 at the first midpoint
     @example((lambda x: THIRD - x, 2, 5e-324))
-    # The edges of the halvings without a stop test, where their count
-    # changes: tol at and next to a power of two, down to and below 2^-50,
-    # with a root at no midpoint and two at the midpoints of the last of
-    # those halvings and the first after them.
+    # The edges where the count of halvings changes: tol at and next to a
+    # power of two, down to and below 2^-50, with a root at no midpoint and
+    # two at the midpoints of the last halving that calls f and of the one
+    # at which the brackets stop.
     @_edge_examples
     @example((lambda x: 0.125 - x * x, 1, 2.0**-52))
     @example((lambda x: 0.5 - THIRD - x, 1, 2.0**-53))
