@@ -53,17 +53,24 @@ Each shard of n pulses makes up to two draws, in this order:
    that of the whole draw, without an n-element float array per shard. A
    draw whose every threshold is at most 0 or at least 1 (the time-shift
    attack at e_d = 0, say) flags no pulse or every pulse whatever u is: it
-   is not made, and the stream is advanced past its doubles instead.
+   is not made, and the stream is advanced past its doubles instead. A
+   draw of one threshold p in (0, ``RARE``) (the strong pulse of 6 or more
+   photons, the time-shift flip at 0 < e_d < 1/16) reads geometric gaps
+   between its flags from the first of its n doubles, about n*p + 1 of
+   them, and the stream is advanced to the end of its n (``_gaps``). Each
+   pulse is still flagged with chance p, and every later draw reads the
+   doubles it would.
 
 Every per-pulse quantity is a bit plane: a uint64 array with pulse
 64*w + j in bit j of word w; no count reads the padding bits. Plane k of
 the fair bytes holds bit k of each, and each flag ``u < p`` is a plane;
 both are packed ``BLOCK`` pulses at a time by ``np.packbits(...,
-bitorder="little")``. The rules are bitwise operations on planes. The
-click kind is a stack of planes, single then double clicks (``correct ^
-wrong`` and ``correct & wrong`` for the coherent channel, ``same_basis |
-one_side`` and its complement for the strong pulse), or single clicks alone
-where no double click can happen. The tally clears the padding bits of the
+bitorder="little")``, while a gap draw sets its few flags one by one. The
+rules are bitwise operations on planes. The click kind is a stack of
+planes, single then double clicks (``correct ^ wrong`` and ``correct &
+wrong`` for the coherent channel, ``same_basis | one_side`` and its
+complement for the strong pulse), or single clicks alone where no double
+click can happen. The tally clears the padding bits of the
 sifted plane and popcounts all its masks in one call.
 
 The coherent channel uses the per-detector fire probabilities of
@@ -71,8 +78,10 @@ The coherent channel uses the per-detector fire probabilities of
 each when its uniform falls below its threshold. A single-photon or memory
 pulse clicks when its uniform u < eta (eta_m) and is flipped when
 u < eta*e_d, so a click is flipped with probability e_d; under the
-time-shift attack the transmittance is 1 and a pulse is flipped when
-u < e_d. The strong pulse reaches one detector only when u < 2**(1 - n).
+time-shift attack the transmittance is 1 and a pulse is flipped with
+chance e_d, and the strong pulse reaches one detector with chance
+2**(1 - n): at the flags of a gap draw when that chance is below ``RARE``,
+else where its uniform u falls below it.
 
 Two adversaries are modeled. The extreme time-shift attack makes one
 uniformly chosen detector fully active and the other inactive (Bob-side
@@ -115,6 +124,13 @@ SHARD_SIZE = 1 << 18
 #: through the GIL, and at 2**14 a pooled 10**6-pulse batch took about 10%
 #: longer.
 BLOCK = 1 << 16
+
+#: A draw of one flag chance p in (0, RARE) is made by geometric gaps
+#: (``_gaps``), in time about proportional to n*p, not to n. Part of the
+#: stream. Below the measured crossover: per 2^18-pulse draw on a 2-vCPU
+#: x86 host (numpy 2.4.6), gaps took 560 us at p = 1/16, 885 us at 1/10
+#: and 1,558 us at 1/8, the uniform draw 1,140-1,280 us at each.
+RARE = 1 / 16
 
 DEFAULT_STRONG_PULSE_PHOTONS = 20
 
@@ -253,16 +269,51 @@ def _fair_planes(rng, n):
     return _packed(n, len(_FAIR_BITS), lambda start, stop: fair[start:stop] & _FAIR_BITS)
 
 
+def _gaps(rng, n, p):
+    """A flag plane over ``n`` pulses, each pulse flagged with chance
+    ``0 < p < 1``, from geometric gaps.
+
+    Each double u of the slot gives the unflagged pulses before the next
+    flag, ``floor(log1p(-u) / log1p(-p))``; the gaps are read in order from
+    the first doubles until one passes the slot's end, and never more than
+    n are read, since n gaps end at pulse n - 1 or later. A gap of inf (a
+    subnormal p) is past the end. The doubles are drawn a chunk at a time,
+    a chunk all but always enough, and the stream is then advanced to the
+    end of the slot.
+    """
+    plane = np.zeros(-(-n // 64), np.uint64)
+    scale, mean = np.log1p(-p), n * p
+    chunk = int(mean + 8.0 * math.sqrt(mean)) + 16
+    drawn, last = 0, -1.0
+    with np.errstate(over="ignore"):
+        while drawn < n:
+            m = min(chunk, n - drawn)
+            at = np.cumsum(np.floor(np.log1p(-rng.random(m)) / scale) + 1.0)
+            at += last
+            drawn += m
+            k = int(np.searchsorted(at, n))
+            flagged = at[:k].astype(np.uint64)
+            np.bitwise_or.at(plane, flagged >> 6, np.uint64(1) << (flagged & 63))
+            if k < m:
+                break
+            last = at[-1]
+    rng.bit_generator.advance(n - drawn)
+    return plane[None]
+
+
 def _below(rng, n, *thresholds):
     """Flag planes ``u < p``, one row per threshold ``p``, over the next
-    ``n`` uniforms of ``rng``: the flags of ``u = rng.random(n)``.
+    ``n`` uniforms of ``rng``: the flags of ``u = rng.random(n)``, unless
+    the draw has one threshold in (0, ``RARE``).
 
     The uniforms are drawn ``BLOCK`` at a time into one reused buffer, so
     a shard holds no n-element float array. At most one block is one draw.
     Every u lies in [0, 1), so a p <= 0 flags no pulse and a p >= 1 every
     pulse: when no p lies strictly inside (0, 1) the planes are constant
-    and nothing is drawn. The stream is advanced past the n doubles, one
-    raw 64-bit output each, so a later draw reads the doubles it would.
+    and nothing is drawn. A draw of one p below ``RARE`` flags its pulses
+    by ``_gaps`` instead: the same chance per pulse, from the first of its
+    doubles. The stream is advanced past the n doubles, one raw 64-bit
+    output each, so a later draw reads the doubles it would.
     """
     p = np.array(thresholds)[:, None]
     for t in thresholds:  # a loop: any() over a generator adds about 0.6 us a draw
@@ -271,6 +322,8 @@ def _below(rng, n, *thresholds):
     else:
         rng.bit_generator.advance(n)
         return np.repeat(np.where(p >= 1.0, ~np.uint64(0), np.uint64(0)), -(-n // 64), axis=1)
+    if len(thresholds) == 1 and t < RARE:
+        return _gaps(rng, n, t)
     u = np.empty(min(n, BLOCK))
 
     def block_bits(start, stop):

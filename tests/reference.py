@@ -23,9 +23,12 @@ same bits in all five outputs. ``_tally`` is the shard tally with one pass
 per ``ClickKind`` over int8 arrays that ``lfqkd.simulate`` replaced with one
 popcount over bit planes, kept verbatim: the new form must give the same
 counts on the unpacked planes. ``_below`` is the flag-plane draw that makes
-every draw, kept verbatim: ``lfqkd.simulate`` skips a draw whose every
-threshold lies outside (0, 1) and advances the stream past it, and with
-this one swapped in a batch must have the same bits.
+every draw: ``lfqkd.simulate`` skips a draw whose every threshold lies
+outside (0, 1) and advances the stream past it, and with this one swapped
+in a batch must have the same bits. Its ``_gaps``, for a draw of one
+threshold below ``RARE``, draws the whole slot at once and adds up the
+flagged positions in a plain loop, where ``lfqkd.simulate`` draws chunks,
+sums gaps with ``np.cumsum`` and advances past the doubles it did not read.
 """
 
 import math
@@ -34,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from lfqkd.rates import CoherentDecoy, CoherentDecoyMemory, SinglePhoton, key_rate
-from lfqkd.simulate import BLOCK, ClickKind, _packed
+from lfqkd.simulate import BLOCK, RARE, ClickKind, _packed
 
 DEFAULT_BISECT_TOL = 1e-9
 
@@ -283,11 +286,14 @@ def _tally(a: dict) -> np.ndarray:
 
 def _below(rng, n, *thresholds):
     """Flag planes ``u < p``, one row per threshold ``p``, over the next
-    ``n`` uniforms of ``rng``: the flags of ``u = rng.random(n)``.
+    ``n`` uniforms of ``rng``: the flags of ``u = rng.random(n)``, or of
+    its geometric gaps for one p in (0, ``RARE``).
 
     The uniforms are drawn ``BLOCK`` at a time into one reused buffer, so
     a shard holds no n-element float array. At most one block is one draw.
     """
+    if len(thresholds) == 1 and 0.0 < thresholds[0] < RARE:
+        return _gaps(rng, n, thresholds[0])
     p, u = np.array(thresholds)[:, None], np.empty(min(n, BLOCK))
 
     def block_bits(start, stop):
@@ -296,3 +302,18 @@ def _below(rng, n, *thresholds):
         return block < p
 
     return _packed(n, len(thresholds), block_bits)
+
+
+def _gaps(rng, n, p):
+    """The flag plane of geometric gaps: all n doubles are drawn at once,
+    and each, in order, skips ``floor(log1p(-u) / log1p(-p))`` pulses and
+    flags the next, until a flag would fall past pulse n - 1."""
+    with np.errstate(over="ignore"):  # a subnormal p: an inf gap
+        gaps = np.log1p(-rng.random(n)) / np.log1p(-p)
+    flags, at = np.zeros((1, n), bool), -1
+    for gap in gaps.tolist():
+        if gap >= n - 1 - at:
+            break
+        at += int(gap) + 1
+        flags[0, at] = True
+    return _packed(n, 1, lambda start, stop: flags[:, start:stop])

@@ -25,6 +25,7 @@ from lfqkd.rates import (
 )
 from lfqkd.simulate import (
     BLOCK,
+    RARE,
     ClickKind,
     ExtremeTimeShift,
     SHARD_SIZE,
@@ -62,12 +63,15 @@ SCENARIOS = [
 
 #: sha256 of ``trial_records(model, adversary, 300_001, seed=2026).tobytes()``
 #: for each of SCENARIOS, in order: two shards, the last word holding one
-#: pulse. Recorded from the int8 kernel the bit planes replaced.
+#: pulse. Recorded from the int8 kernel the bit planes replaced. The
+#: time-shift entry was re-recorded when a one-threshold draw below ``RARE``
+#: moved to geometric gaps, its flips at e_d 0.03 among them; the strong
+#: pulse's kept its bytes, as neither stream flags any of its 300,001 pulses.
 TRIAL_RECORDS_SHA256 = {
     "single-photon": "cf25260a7dcfdfa756758740da77c59af541574b1e5dc665977cb90944a5dab6",
     "coherent": "0a6d6fc0c93ebf4ed91e604efec9747068ede0ad17de5ef0821999471f6edc97",
     "coherent-memory": "e0bfd0fa3459528e9536b3e3e879863f5ad84c3c28d743ab5743b70a8b87c561",
-    "time-shift": "b9a7893c82542748cd6a1dbbd6aac0464460ede72fab4e0751412b58cf22e004",
+    "time-shift": "fbcf3b2be958c0d4f20f1b6b65e5deb943177fdbada4b2af3ae8072cb5342796",
     "strong-pulse": "286cafec81bebed62c4c45b75c0a01f9f90e1af06ea5b84db1676d8f5d4acb07",
 }
 
@@ -297,8 +301,12 @@ class TestBlockDraws:
     """The block draws read the same stream as one whole draw."""
 
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, SHARD_SIZE])
-    def test_flags_match_one_whole_draw(self, n):
-        thresholds = (0.0, 0.02, 0.7, 1.0)
+    @pytest.mark.parametrize(
+        "thresholds", [(0.0, 0.02, 0.7, 1.0), (RARE,), (2.0**-19, 1e-3), (2.0**-1074, 0.5)]
+    )
+    def test_flags_match_one_whole_draw(self, n, thresholds):
+        # A draw of one threshold at RARE, and any draw of two, compares
+        # uniforms; only a lone threshold below RARE is drawn by gaps.
         u = np.random.default_rng(n).random(n)
         flags = _below(np.random.default_rng(n), n, *thresholds)
         assert flags.dtype == np.uint64
@@ -322,6 +330,53 @@ class TestBlockDraws:
         assert np.array_equal(unpack(none, n), np.zeros(n))
         assert np.array_equal(unpack(every, n), np.ones(n))
         assert np.array_equal(rng.random(n), np.random.default_rng(n).random(2 * n)[n:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3 * BLOCK),
+        p=st.one_of(
+            st.sampled_from([2.0**-1074, 2.0**-19, math.nextafter(RARE, 0.0)]),
+            st.floats(0.0, RARE, exclude_min=True, exclude_max=True),
+        ),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(n=BLOCK + 1, p=math.nextafter(RARE, 0.0), seed=0)
+    def test_gap_draw_matches_reference_and_ends_at_its_slot(self, n, p, seed):
+        rng = np.random.default_rng(seed)
+        (flags,) = _below(rng, n, p)
+        (expected,) = reference._below(np.random.default_rng(seed), n, p)
+        assert flags.dtype == np.uint64 and flags.shape == (-(-n // 64),)
+        assert np.array_equal(unpack(flags, n), unpack(expected, n))
+        assert rng.random(5).tolist() == np.random.default_rng(seed).random(n + 5)[n:].tolist()
+
+    @pytest.mark.parametrize("p", [2.0**-19, 1e-3, RARE / 2])
+    def test_gap_draws_flag_n_p_pulses_in_all(self, p):
+        # 256 shard-sized draws from one stream: the pooled flag count of a
+        # Bernoulli(p) plane is within 6 sigma of its mean.
+        rng, draws = np.random.default_rng(24), 256
+        total = sum(int(np.bitwise_count(_below(rng, SHARD_SIZE, p)).sum()) for _ in range(draws))
+        n = draws * SHARD_SIZE
+        assert abs(total - n * p) <= 6.0 * math.sqrt(n * p * (1.0 - p))
+
+    def test_gap_draw_reads_at_most_its_slot(self):
+        # Gaps of 0 flag every pulse: the draw takes several chunks and
+        # reads exactly n doubles, the last gap ending on pulse n - 1.
+        n, read = 1000, []
+
+        class ZeroStream:  # its own bit generator: reads and advances are logged
+            def __init__(self):
+                self.bit_generator = self
+
+            def random(self, m):
+                read.append(m)
+                return np.zeros(m)
+
+            def advance(self, k):
+                read.append(k)
+
+        (flags,) = _below(ZeroStream(), n, 1e-3)
+        assert np.array_equal(unpack(flags, n), np.ones(n))
+        assert len(read) > 2 and read[-1] == 0 and sum(read) == n
 
     @settings(max_examples=40, deadline=None)
     @given(
