@@ -81,16 +81,20 @@ def _emit(text: str, out: str | None) -> None:
     if os.path.basename(out) in ("", os.curdir, os.pardir) or os.path.isdir(target):
         raise ConfigError(f"--out must name a file, not a directory: {out!r}")
     directory = os.path.dirname(target)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp_path, target)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp_path, target)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        # The error's own file name may be the temp file, which the user never named.
+        raise ConfigError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
 
 
 def _json_safe(value):

@@ -9,6 +9,7 @@ import math
 import os
 import shlex
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -505,6 +506,25 @@ class TestSimulateCommand:
         assert err.startswith("error: --out ") and repr(name) in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
         assert not any((tmp_path / "existing").iterdir())
+
+    @pytest.mark.parametrize(
+        "module, name, errno", [(tempfile, "mkstemp", 2), (os, "replace", 13)]
+    )
+    def test_out_that_cannot_be_written_names_out(self, tmp_path, monkeypatch, module, name, errno):
+        # OSError(2, ...) is a FileNotFoundError, OSError(13, ...) a
+        # PermissionError. Each names a temp file; the message names --out.
+        def refuse(*args, **kwargs):
+            raise OSError(errno, os.strerror(errno), str(tmp_path / "tmpabc123.tmp"))
+
+        monkeypatch.setattr(module, name, refuse)
+        out = str(tmp_path / "batch.json")
+        code, stdout, err = captured_main(
+            ["simulate", "--model", "single-photon", "--eta", "0.5", "--n-pulses", "16",
+             "--out", out]
+        )
+        assert (code, stdout) == (EXIT_INVALID_CONFIG, "")
+        assert err == f"error: cannot write --out {out!r}: {os.strerror(errno)}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_negative_seed_exits_2_naming_seed(self, command):

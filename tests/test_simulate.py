@@ -61,18 +61,27 @@ SCENARIOS = [
     (SP_MODEL, StrongPulse(20)),
 ]
 
+#: The strong pulse at 6 and 4 photons, whose one-threshold flag draws
+#: flag thousands of pulses: p = 2^-5 by geometric gaps, p = 1/8 by one
+#: uniform per pulse (``RARE`` is 1/16).
+FLAGGING_STRONG_PULSES = [(PERFECT, StrongPulse(6)), (PERFECT, StrongPulse(4))]
+
 #: sha256 of ``trial_records(model, adversary, 300_001, seed=2026).tobytes()``
-#: for each of SCENARIOS, in order: two shards, the last word holding one
-#: pulse. Recorded from the int8 kernel the bit planes replaced. The
-#: time-shift entry was re-recorded when a one-threshold draw below ``RARE``
-#: moved to geometric gaps, its flips at e_d 0.03 among them; the strong
-#: pulse's kept its bytes, as neither stream flags any of its 300,001 pulses.
+#: for each of SCENARIOS + FLAGGING_STRONG_PULSES, in order: two shards, the
+#: last word holding one pulse. The first five were recorded from the int8
+#: kernel the bit planes replaced. The time-shift entry was re-recorded when
+#: a one-threshold draw below ``RARE`` moved to geometric gaps, its flips at
+#: e_d 0.03 among them; the 20-photon strong pulse's kept its bytes, as
+#: neither stream flags any of its 300,001 pulses. So only the last two pins
+#: see the strong pulse's flag draw, one through each of its branches.
 TRIAL_RECORDS_SHA256 = {
     "single-photon": "cf25260a7dcfdfa756758740da77c59af541574b1e5dc665977cb90944a5dab6",
     "coherent": "0a6d6fc0c93ebf4ed91e604efec9747068ede0ad17de5ef0821999471f6edc97",
     "coherent-memory": "e0bfd0fa3459528e9536b3e3e879863f5ad84c3c28d743ab5743b70a8b87c561",
     "time-shift": "fbcf3b2be958c0d4f20f1b6b65e5deb943177fdbada4b2af3ae8072cb5342796",
     "strong-pulse": "286cafec81bebed62c4c45b75c0a01f9f90e1af06ea5b84db1676d8f5d4acb07",
+    "strong-pulse-6": "a4b0b8ec077a96b94a93fa03b9d0cb86a43204c8c3f2716cbe98234ac0957039",
+    "strong-pulse-4": "cbd4299101d0a86195c4fc8a58d9812fbdaf7d576e8f3141da34bf9693f4c43b",
 }
 
 #: Plane fields of a shard other than its click kind.
@@ -777,12 +786,29 @@ def _two_sample_se(p1, n1, p2, n2):
 
 class TestTrialRecords:
     @pytest.mark.parametrize(
-        "scenario, name", zip(SCENARIOS, TRIAL_RECORDS_SHA256), ids=list(TRIAL_RECORDS_SHA256)
+        "scenario, name",
+        zip(SCENARIOS + FLAGGING_STRONG_PULSES, TRIAL_RECORDS_SHA256, strict=True),
+        ids=list(TRIAL_RECORDS_SHA256),
     )
     def test_record_bytes_pinned(self, scenario, name):
         model, adversary = scenario
         records = trial_records(model, adversary, 300_001, seed=2026)
         assert hashlib.sha256(records.tobytes()).hexdigest() == TRIAL_RECORDS_SHA256[name]
+
+    def test_pinned_strong_pulse_flags_add_single_clicks(self):
+        # A flag makes a single click of a pulse Bob and Eve measure in
+        # different bases; 20 photons flag almost none of them, 6 and 4
+        # photons about 1/32 and 1/8.
+        def n_single(n_photons):
+            records = trial_records(PERFECT, StrongPulse(n_photons), 300_001, seed=2026)
+            return np.count_nonzero(records["kind"] == ClickKind.SINGLE)
+
+        n_unflagged = n_single(20)
+        for n_photons in (6, 4):
+            p, n_other = 2.0 ** (1 - n_photons), 300_001 - n_unflagged
+            flagged = n_single(n_photons) - n_unflagged
+            assert flagged > 0
+            assert abs(flagged / n_other - p) <= binomial_3sigma(p, n_other)
 
     def test_random_assignment_marks_non_single_outcomes(self):
         records = trial_records(COH_MODEL, None, 30_000, seed=7)

@@ -223,6 +223,7 @@ class TestSweepAgainstGeneralBisection:
         eta_c=0.01,
         tol=float(np.nextafter(2.0**-50, 0.0)),
     )
+    @example(family="single-photon", grid=GridSpec(), mu=0.5, eta_c=0.01, tol=0.03125)
     @example(family="single-photon", grid=GridSpec(), mu=0.5, eta_c=0.01, tol=0.125)
     @example(family="coherent", grid=GridSpec(), mu=0.5, eta_c=0.01, tol=0.3)
     @example(family="single-photon-memory", grid=GridSpec(0.5, 0.51, 1e-4), mu=0.5, eta_c=0.01, tol=1e-9)
@@ -285,31 +286,62 @@ class TestSweepCurve:
             assert model_rate("coherent", eta, e_d_max + 2 * tol) < 0.0
 
 
+def record_solve(monkeypatch):
+    """Patch the solver to record the shape of each rate call, each
+    ``np.errstate`` entered and each bisection, which then returns nothing."""
+    entries, calls, bisected, ed_rate = [], [], [], threshold._ed_rate
+    enter = np.errstate.__enter__
+
+    def counting_enter(self):
+        entries.append(self)
+        return enter(self)
+
+    def counted_ed_rate(*terms):
+        f = ed_rate(*terms)
+        return lambda x: calls.append(x.shape) or f(x)
+
+    monkeypatch.setattr(np.errstate, "__enter__", counting_enter)
+    monkeypatch.setattr(threshold, "_ed_rate", counted_ed_rate)
+    monkeypatch.setattr(threshold, "find_root_bisect", lambda f, n, tol: bisected.append(n))
+    return entries, calls, bisected
+
+
 class TestSolveCost:
-    """What the solve of one default-grid curve costs."""
+    """What the solve of one curve costs."""
 
     @pytest.mark.parametrize("family", MODEL_FAMILIES)
-    def test_one_solve_of_8_calls_in_one_errstate(self, family, monkeypatch):
-        entries, calls, bisected, ed_rate = [], [], [], threshold._ed_rate
-        enter = np.errstate.__enter__
-
-        def counting_enter(self):
-            entries.append(self)
-            return enter(self)
-
-        def counted_ed_rate(*terms):
-            f = ed_rate(*terms)
-            return lambda x: calls.append(x.shape) or f(x)
-
-        monkeypatch.setattr(np.errstate, "__enter__", counting_enter)
-        monkeypatch.setattr(threshold, "_ed_rate", counted_ed_rate)
-        monkeypatch.setattr(threshold, "find_root_bisect", lambda f, n, tol: bisected.append(n))
-        curve = sweep_curve(family)
-        # At tol 1e-9: e_d = 0 and 1/8 on every grid point, six secant steps
-        # on the kept points, and a seventh whose call on the iterate and its
-        # cell's ends confirms every cell; one errstate, no point bisected.
+    @pytest.mark.parametrize("tol, n_steps", [(1e-9, 5), (1e-12, 6)])
+    def test_one_solve_of_7_calls_in_one_errstate(self, family, tol, n_steps, monkeypatch):
+        entries, calls, bisected = record_solve(monkeypatch)
+        curve = sweep_curve(family, tol=tol)
+        # At tol 1e-9: e_d = 0 and 1/32 on every grid point, five secant
+        # steps on the kept points, and a sixth whose call on the iterate and
+        # its cell's ends confirms every cell; one errstate, no point
+        # bisected. At tol 1e-12 one step more: 8 calls.
         n, n_kept = len(GridSpec().values()), len(curve.eta)
-        assert calls == [(2, n)] + [(n_kept,)] * 6 + [(3, n_kept)]
+        assert calls == [(2, n)] + [(n_kept,)] * n_steps + [(3, n_kept)]
+        assert len(entries) == 1
+        assert bisected == []
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GridSpec(step=0.0005),
+            GridSpec(0.9, 1.0, 0.001),
+            GridSpec(0.5, 0.6, 0.001),
+            GridSpec(0.1, 1.0, 0.005),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "family, kwargs",
+        [(family, {}) for family in MODEL_FAMILIES]
+        + [("coherent", dict(mu=0.1)), ("coherent", dict(mu=1.0))]
+        + [("coherent-memory", dict(eta_c=1e-6)), ("coherent-memory", dict(eta_c=0.5))],
+    )
+    def test_at_most_7_calls_beyond_the_default_grid(self, grid, family, kwargs, monkeypatch):
+        entries, calls, bisected = record_solve(monkeypatch)
+        sweep_curve(family, grid, tol=1e-9, **kwargs)
+        assert len(calls) <= 7 and calls[-1][0] == 3
         assert len(entries) == 1
         assert bisected == []
 
@@ -318,22 +350,31 @@ class TestSolveCost:
         "grid, chunk", [(GridSpec(), SOLVE_CHUNK), (GridSpec(0.1, 1.0, 0.005), 7)]
     )
     def test_failed_checks_are_bisected_to_the_same_bits(self, family, grid, chunk, monkeypatch):
-        expected, bisected, solve = sweep_curve(family, grid), [], threshold.find_root_bisect
+        expected, calls, bisected = sweep_curve(family, grid), [], []
+        ed_rate, solve = threshold._ed_rate, threshold.find_root_bisect
+
+        def counted_ed_rate(*terms):
+            f = ed_rate(*terms)
+            return lambda x: calls.append(x.shape) or f(x)
 
         def counted_solve(f, n, tol):
-            bisected.append(n)
-            return solve(f, n, tol=tol)
+            bisected.append((n, calls[:]))
+            root = solve(f, n, tol=tol)
+            calls.clear()
+            return root
 
         monkeypatch.setattr(threshold, "SOLVE_CHUNK", chunk)
         monkeypatch.setattr(threshold, "SECANT_CAP", 0)
+        monkeypatch.setattr(threshold, "_ed_rate", counted_ed_rate)
         monkeypatch.setattr(threshold, "find_root_bisect", counted_solve)
         curve = sweep_curve(family, grid)
         assert curve.eta.tolist() == expected.eta.tolist()
         assert curve.e_d_max.view(np.int64).tolist() == expected.e_d_max.view(np.int64).tolist()
-        # With no secant step no cell is checked (and every root here lies
-        # below the start point 1/8): each point is bisected once.
-        assert expected.e_d_max.max() < threshold.SECANT_START
-        assert sum(bisected) == len(curve.eta)
+        # With no secant step no cell is checked: the only rate calls before
+        # a bisection are (2, n) start calls, and each point is bisected once.
+        # (A chunk whose points are all dropped makes its start call only.)
+        assert all(before and {shape[:-1] for shape in before} == {(2,)} for _, before in bisected)
+        assert sum(n for n, _ in bisected) == len(curve.eta)
 
     @pytest.mark.parametrize("family", MODEL_FAMILIES)
     @pytest.mark.parametrize(
