@@ -14,11 +14,12 @@ one of its choices. Explicit flags win over the config. ``compare`` always
 runs an honest channel. Outputs are deterministic for identical invocations
 and written atomically when ``--out`` is given.
 
-The parser is built once per process and reused by every ``main`` call,
-and a call is parsed once, by its subcommand's parser. A config file is read
-into a namespace that the call is then parsed into again: argparse fills in
-a default only where the namespace has no value, so the config stands in for
-the defaults and no call changes the parser.
+The parser is built once per process and reused by every ``main`` call. A
+call of ``--flag value`` pairs alone, each flag exact and no value led by
+``-``, is read in one pass over its subcommand's action table; argparse
+parses any other call and writes every error and help text. A config file
+is read into a namespace that the call is parsed into again; defaults fill
+only what it leaves unset, so no call changes the parser.
 
 Exit status: 0 success, 2 invalid configuration, 3 empty threshold curve,
 4 degenerate simulation (no single clicks).
@@ -318,19 +319,47 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict:
     return parser._subparsers._group_actions[0].choices
 
 
+def _parse_plain(subparser: argparse.ArgumentParser, tokens: list[str], namespace=None):
+    """``subparser.parse_known_args(tokens, namespace)[0]`` in one pass, if ``tokens``
+    are ``--flag value`` pairs of exact one-value flags, each value of its flag's type
+    and choices and not led by ``-``; else None, with ``namespace`` untouched."""
+    given = {}
+    try:
+        for flag, value in zip(tokens[::2], tokens[1::2], strict=True):  # odd: ValueError
+            action = subparser._option_string_actions.get(flag)
+            if type(action) is not argparse._StoreAction or action.nargs or value[:1] in "-":
+                return None
+            given[action.dest] = value = (action.type or str)(value)
+            if action.choices is not None and value not in action.choices:
+                return None
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    # Then fill unset dests as parse_known_args does: action defaults, then set_defaults.
+    args = argparse.Namespace() if namespace is None else namespace
+    defaults = [(a.dest, a.default) for a in subparser._actions if a.dest is not argparse.SUPPRESS]
+    for dest, default in [*defaults, *subparser._defaults.items()]:
+        if dest not in args and default is not argparse.SUPPRESS:
+            setattr(args, dest, default)
+    vars(args).update(given)
+    return args
+
+
 def _parse(
     parser: argparse.ArgumentParser,
     argv: list[str] | None,
     namespace: argparse.Namespace | None = None,
 ) -> argparse.Namespace:
-    """``parser.parse_args(argv, namespace)``; a subcommand's flags are parsed by its parser."""
+    """``parser.parse_args(argv, namespace)``; a subcommand's flags are parsed by its
+    parser, in one pass if they are plain (see ``_parse_plain``), else by argparse."""
     argv = sys.argv[1:] if argv is None else list(argv)
     subparser = _subparsers(parser).get(argv[0]) if argv else None
     if subparser is None:
         return parser.parse_args(argv, namespace)
-    args, extras = subparser.parse_known_args(argv[1:], namespace)
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = _parse_plain(subparser, argv[1:], namespace)
+    if args is None:
+        args, extras = subparser.parse_known_args(argv[1:], namespace)
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = argv[0]
     return args
 

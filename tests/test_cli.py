@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -1122,6 +1123,180 @@ class TestExitCodeProperties:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config))
         assert quiet_main([command, "--config", str(path)]) in exit_codes
+
+
+# Values float() or int() reads in odd spellings, which argparse passes on.
+ODD_FLOATS = ["1e0", " 0.5", "0.5 ", "+0.5", ".5", "5.", "1_0", "1e400", "inf", "NaN", "00",
+              "\u0661", "\uff11"]
+ODD_INTS = [" 7", "+3", "1_000", "00", "\u0661\u0662", "\uff11"]
+# Junk, and values led by "-", which argparse may read as a flag.
+JUNK_VALUES = ["0x10", "0x1p-1", "nan(1)", "", " ", "abc", "1 2", "x=y",
+               "-0", "-1", "-1.5", "-inf", "-", "--", "--eta", "-x"]
+
+
+def flag_value(action, junk):
+    """Strings for one flag's value: values it takes, in odd spellings too,
+    and with ``junk`` also any number of its type, junk and ``-``-led values."""
+    if action.choices:
+        valid = st.sampled_from(action.choices)
+    elif action.type is float:
+        valid = st.floats(0, 1).map(repr) | st.sampled_from(ODD_FLOATS)
+    elif action.type is int:
+        valid = st.integers(0, 2**64).map(str) | st.sampled_from(ODD_INTS)
+    else:
+        valid = st.text(min_size=1).filter(lambda text: not text.startswith("-"))
+    if not junk:
+        return valid
+    numbers = {float: ANY_FLOAT.map(repr), int: ANY_INT.map(str)}.get(action.type, ANY_TEXT)
+    return valid | numbers | st.sampled_from(JUNK_VALUES)
+
+
+@st.composite
+def flag_tokens(draw, subparser):
+    """Tokens after a subcommand: ``--flag value`` pairs of exact flags, with
+    repeats. A third of the draws are plain: each value one its flag takes.
+    A third also draw junk values. The rest also abbreviate flags (to ``-``
+    or ``--`` among others) or give them in ``=`` form, and add lone flags
+    and stray values."""
+    actions = [a for a in subparser._actions if a.option_strings and a.dest != "help"]
+    mode = draw(st.sampled_from(["plain", "values", "any"]))
+    tokens = []
+    for _ in range(draw(st.integers(0, 6))):
+        action = draw(st.sampled_from(actions))
+        flag = action.option_strings[0]
+        value = draw(flag_value(action, junk=mode != "plain"))
+        if mode != "any":
+            tokens += [flag, value]
+            continue
+        flag = draw(st.sampled_from([flag, flag, flag[:draw(st.integers(1, len(flag)))]]))
+        form = draw(st.sampled_from(["pair", "pair", "equals", "flag", "stray"]))
+        tokens += {
+            "pair": [flag, value], "equals": [f"{flag}={value}"], "flag": [flag], "stray": [value],
+        }[form]
+    return tokens
+
+
+@st.composite
+def config_values(draw, subparser):
+    """None, or values as ``_load_config`` passes them: some of the
+    subcommand's dests, each of its flag's type and choices."""
+    if draw(st.booleans()):
+        return None
+    config = {}
+    for action in subparser._actions:
+        if action.dest in ("help", "config") or not draw(st.booleans()):
+            continue
+        if action.choices:
+            config[action.dest] = draw(st.sampled_from(action.choices))
+        else:
+            config[action.dest] = draw({float: ANY_FLOAT, int: ANY_INT}.get(action.type, ANY_TEXT))
+    return config
+
+
+def parse_outcome(parse):
+    """``parse()``'s namespace as the repr of its sorted items, or its exit
+    code; with what it wrote to stdout and stderr either way."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = repr(sorted(vars(parse()).items()))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def argparse_parse(parser, argv, namespace):
+    """``cli._parse`` by argparse alone: the subparser's ``parse_known_args``,
+    then the main parser's error for any token it leaves."""
+    args, extras = cli._subparsers(parser)[argv[0]].parse_known_args(argv[1:], namespace)
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(CONFIG_KEYS)))
+def test_parse_matches_argparse(data, command):
+    """Plain or not, a call parses to what argparse gives, or exits with
+    argparse's code and bytes; into a config's namespace too."""
+    parser = cli.build_parser()
+    subparser = cli._subparsers(parser)[command]
+    tokens = data.draw(flag_tokens(subparser), label="tokens")
+    config = data.draw(config_values(subparser), label="config")
+
+    def namespace():
+        return None if config is None else argparse.Namespace(**config)
+
+    argv = [command, *tokens]
+    expected = parse_outcome(lambda: argparse_parse(parser, argv, namespace()))
+    assert parse_outcome(lambda: cli._parse(parser, argv, namespace())) == expected
+
+
+# Calls of the benchmark's workloads and of CI's console-script step; each
+# is plain, so argparse parses none of them.
+PLAIN_CALLS = [
+    *(["threshold", "--model", family] for family in MODEL_FAMILIES),
+    *(["simulate", *flags, "--seed", "7"] for flags in SCENARIO_FLAGS.values()),
+    *(
+        ["compare", *SCENARIO_FLAGS[model], "--n-pulses", "16384", "--seed", "7"]
+        for model in SOURCE_MODELS
+    ),
+    ["rate", "--model", "single-photon", "--eta", "1", "--ed", "0"],
+    ["rate", "--model", "single-photon", "--eta", "0.5"],
+    *(["threshold", "--model", family, *TOL_2_TO_THE_MINUS_50] for family in MODEL_FAMILIES),
+    ["threshold", "--model", "coherent", "--tol", "1e-12"],
+    ["threshold", "--model", "single-photon", *TOL_1E_300],
+    *(
+        ["simulate", "--model", "single-photon", "--eta", "1", "--adversary", *attack]
+        for attack in (
+            ("strong-pulse", "--n-photons", "20"),
+            ("strong-pulse", "--n-photons", "1075"),
+            ("time-shift", "--ed", "0.01"),
+        )
+    ),
+    ["compare", "--model", "single-photon", "--eta", "0.7", "--ed", "0.03", "--n-pulses", "16384"],
+    ["compare", "--model", "coherent", "--eta", "0.8", "--ed", "0.02", "--n-pulses", "16384"],
+    ["compare", "--model", "coherent-memory", "--eta-m", "0.75", "--ed", "0.01",
+     "--n-pulses", "16384"],
+    ["threshold", "--model", "coherent", "--format", "json"],
+]
+# The one plain call among PINNED_PARSES: a repeated flag.
+PLAIN_PINNED = [["rate", "--model", "coherent", "--model", "single-photon", "--eta", "0.5"]]
+
+
+def test_plain_calls_skip_argparse(monkeypatch):
+    subparsers = list(cli._subparsers(cli.build_parser()).values())
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def refuse(self, *args, **kwargs):
+        if self in subparsers:
+            raise AssertionError(f"{self.prog}: parsed by argparse")
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    for argv in [*PLAIN_CALLS, *PLAIN_PINNED]:
+        assert captured_main(argv)[::2] == (EXIT_OK, ""), argv
+    # The main parser still reads what names no subcommand.
+    assert captured_main(["--help"])[::2] == (EXIT_OK, "")
+
+
+@pytest.mark.parametrize(
+    "argv", [case[0] for case in PINNED_PARSES],
+    ids=[" ".join(map(str, case[0])) or "(none)" for case in PINNED_PARSES],
+)
+def test_pinned_parses_reach_argparse_unless_plain(tmp_path, monkeypatch, argv):
+    config = tmp_path / "rate.json"
+    config.write_text(json.dumps({"model": "single-photon", "eta": 0.5}))
+    parsers, parse_known_args = [], argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    captured_main([str(config) if a == CONFIG else a for a in argv])
+    assert bool(parsers) == (argv not in PLAIN_PINNED), parsers
 
 
 def readme_cli_lines():
