@@ -34,7 +34,8 @@ caller keeps (the six sifted tallies for ``run_trials``) and results are
 taken in shard order, so tallies and records do not depend on the pool's
 width or on the order in which shards finish.
 
-Each shard of n pulses makes up to two draws, in this order:
+Each shard of n pulses makes two draws, in this order, and leaves its
+generator ceil(n/8) raw 64-bit outputs and n doubles on:
 
 1. ``rng.bytes(n)``: one fair byte per pulse, read from the raw 64-bit
    outputs it consumes (``_fair_planes``). Bit 0 is Alice's bit, bit 1
@@ -45,21 +46,19 @@ Each shard of n pulses makes up to two draws, in this order:
    picks the active detector), or Eve's basis (4), Eve's bit for a
    mismatched guess (5) and the single-click bit of a basis Bob and Eve do
    not share (6) for the strong pulse. Bit 7 is unused.
-2. Uniforms in [0, 1): ``rng.random((2, n))`` for the coherent channel,
-   one row per detector (the detector of Alice's bit first), and
-   ``rng.random(n)`` otherwise. They are drawn ``BLOCK`` at a time into
-   one small buffer, row 0 in full before row 1; ``rng.random`` fills a
-   block with the doubles one whole draw would put there, so the stream is
-   that of the whole draw, without an n-element float array per shard. A
-   draw whose every threshold is at most 0 or at least 1 (the time-shift
-   attack at e_d = 0, say) flags no pulse or every pulse whatever u is: it
-   is not made, and the stream is advanced past its doubles instead. A
-   draw of one threshold p in (0, ``RARE``) (the strong pulse of 6 or more
-   photons, the time-shift flip at 0 < e_d < 1/16) reads geometric gaps
-   between its flags from the first of its n doubles, about n*p + 1 of
-   them, and the stream is advanced to the end of its n (``_gaps``). Each
-   pulse is still flagged with chance p, and every later draw reads the
-   doubles it would.
+2. Uniforms in [0, 1): ``rng.random(n)``, one per pulse, for every
+   channel; each threshold of the draw flags the pulses whose uniform lies
+   below it. They are drawn ``BLOCK`` at a time into one small buffer;
+   ``rng.random`` fills a block with the doubles one whole draw would put
+   there, so the stream is that of the whole draw, without an n-element
+   float array per shard. A draw whose every threshold is at most 0 or at
+   least 1 (the time-shift attack at e_d = 0, say) flags no pulse or every
+   pulse whatever u is: it is not made, and the stream is advanced past its
+   doubles instead. A draw of one threshold p in (0, ``RARE``) (the strong
+   pulse of 6 or more photons, the time-shift flip at 0 < e_d < 1/16)
+   reads geometric gaps between its flags from the first of its n doubles,
+   about n*p + 1 of them, and the stream is advanced to the end of its n
+   (``_gaps``). Each pulse is still flagged with chance p.
 
 Every per-pulse quantity is a bit plane: a uint64 array with pulse
 64*w + j in bit j of word w; no count reads the padding bits. Plane k of
@@ -74,14 +73,22 @@ click can happen. The tally clears the padding bits of the
 sifted plane and popcounts all its masks in one call.
 
 The coherent channel uses the per-detector fire probabilities of
-``rates.coherent_fire_probabilities``: the two detectors fire independently,
-each when its uniform falls below its threshold. A single-photon or memory
-pulse clicks when its uniform u < eta (eta_m) and is flipped when
-u < eta*e_d, so a click is flipped with probability e_d; under the
-time-shift attack the transmittance is 1 and a pulse is flipped with
-chance e_d, and the strong pulse reaches one detector with chance
-2**(1 - n): at the flags of a gap draw when that chance is below ``RARE``,
-else where its uniform u falls below it.
+``rates.coherent_fire_probabilities``: the detector of Alice's bit and the
+other one fire independently, with chances c and w (p_c and p_w on a
+matched pulse, p_h each on a mismatched one). So a pulse has one of four
+joint outcomes, and its uniform u picks one from [0, 1) cut as [no click |
+correct only | both | wrong only] at t0 = (1-c)(1-w), t1 = 1 - w and
+t2 = t0 + c (``_cuts``): the detector of Alice's bit fires where
+t0 <= u < t2, the other one where u >= t1. Its draw has six thresholds,
+three per basis class, and ``matched`` selects the three of each pulse. At
+e_d = 0, w = 0 and t1 = 1, so no matched pulse fires the wrong detector;
+where p_c rounds to 1, t0 = 0 and t2 = 1, so every matched pulse fires the
+correct one. A single-photon or memory pulse clicks when its uniform
+u < eta (eta_m) and is flipped when u < eta*e_d, so a click is flipped with
+probability e_d; under the time-shift attack the transmittance is 1 and a
+pulse is flipped with chance e_d, and the strong pulse reaches one
+detector with chance 2**(1 - n): at the flags of a gap draw when that
+chance is below ``RARE``, else where its uniform u falls below it.
 
 Two adversaries are modeled. The extreme time-shift attack makes one
 uniformly chosen detector fully active and the other inactive (Bob-side
@@ -216,7 +223,7 @@ class TrialBatch:
         formula on the batch's (Q_s, E_s) for every source, while the
         ``rate_gap`` of ``compare_to_analytic`` uses the source's own formula:
         a coherent batch at mu 0.5, eta 0.8, e_d 0.02, seed 1 and 10^6 pulses
-        has ``rate`` -0.040, its source +0.051."""
+        has ``rate`` -0.040 (-0.0399), its source +0.051."""
         stats = empirical_stats(self)
         return {
             "scenario": self.scenario_tag,
@@ -306,8 +313,10 @@ def _below(rng, n, *thresholds):
     ``n`` uniforms of ``rng``: the flags of ``u = rng.random(n)``, unless
     the draw has one threshold in (0, ``RARE``).
 
-    The uniforms are drawn ``BLOCK`` at a time into one reused buffer, so
-    a shard holds no n-element float array. At most one block is one draw.
+    The uniforms are drawn ``BLOCK`` at a time into one reused buffer, and
+    each row's flags are compared into one reused ``BLOCK`` of bools and
+    packed in turn, so a shard holds no n-element float array and no
+    (rows, ``BLOCK``) flag array. At most one block is one draw.
     Every u lies in [0, 1), so a p <= 0 flags no pulse and a p >= 1 every
     pulse: when no p lies strictly inside (0, 1) the planes are constant
     and nothing is drawn. A draw of one p below ``RARE`` flags its pulses
@@ -315,23 +324,32 @@ def _below(rng, n, *thresholds):
     doubles. The stream is advanced past the n doubles, one raw 64-bit
     output each, so a later draw reads the doubles it would.
     """
-    p = np.array(thresholds)[:, None]
     for t in thresholds:  # a loop: any() over a generator adds about 0.6 us a draw
         if 0.0 < t < 1.0:
             break
     else:
         rng.bit_generator.advance(n)
+        p = np.array(thresholds)[:, None]
         return np.repeat(np.where(p >= 1.0, ~np.uint64(0), np.uint64(0)), -(-n // 64), axis=1)
     if len(thresholds) == 1 and t < RARE:
         return _gaps(rng, n, t)
-    u = np.empty(min(n, BLOCK))
-
-    def block_bits(start, stop):
-        block = u[: stop - start]
+    u, flags = np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK), bool)
+    planes = np.empty((len(thresholds), 8 * -(-n // 64)), np.uint8)
+    for start in range(0, n, BLOCK):
+        block = u[: min(BLOCK, n - start)]
         rng.random(out=block)
-        return block < p
+        for plane, p in zip(planes, thresholds):
+            packed = np.packbits(np.less(block, p, out=flags[: len(block)]), bitorder="little")
+            plane[start // 8 : start // 8 + len(packed)] = packed
+    return planes.view(np.uint64)
 
-    return _packed(n, len(thresholds), block_bits)
+
+def _cuts(c, w):
+    """Cut points of [0, 1) into [no click | c only | both | w only] for two
+    detectors that fire independently with chances ``c`` and ``w``: the
+    parts have lengths (1-c)(1-w), c(1-w), cw and (1-c)w."""
+    no_click = (1.0 - c) * (1.0 - w)
+    return no_click, 1.0 - w, no_click + c
 
 
 def _honest_hits(model, fair, matched, n, rng):
@@ -339,11 +357,14 @@ def _honest_hits(model, fair, matched, n, rng):
     if model.tag == "coherent":
         # Poisson splitting: the detector of Alice's bit and the other one
         # fire independently, with chance p_c and p_w on a matched pulse and
-        # p_h each on a mismatched one. Their uniforms are the two rows of
-        # rng.random((2, n)).
+        # p_h each on a mismatched one. One uniform per pulse picks the joint
+        # outcome: the detector of Alice's bit fires between the first and
+        # the third cut, the other one from the second cut on.
         p_c, p_w, p_h = coherent_fire_probabilities(model.mu, model.eta, model.e_d)
-        correct = _select(matched, *_below(rng, n, p_c, p_h))
-        wrong = _select(matched, *_below(rng, n, p_w, p_h))
+        flags = _below(rng, n, *_cuts(p_c, p_w), *_cuts(p_h, p_h)).reshape(2, 3, -1)
+        no_click, wrong_silent, not_wrong_only = _select(matched, *flags)
+        correct = not_wrong_only & ~no_click
+        wrong = ~wrong_silent
         return np.stack((correct ^ wrong, correct & wrong)), wrong ^ fair[0]
     # Single photon, or the memory at eta = eta_m with trials conditioned on the trigger.
     clicked, flips = flags = _below(rng, n, model.eta, model.eta * model.e_d)

@@ -24,11 +24,13 @@ per ``ClickKind`` over int8 arrays that ``lfqkd.simulate`` replaced with one
 popcount over bit planes, kept verbatim: the new form must give the same
 counts on the unpacked planes. ``_below`` is the flag-plane draw that makes
 every draw: ``lfqkd.simulate`` skips a draw whose every threshold lies
-outside (0, 1) and advances the stream past it, and with this one swapped
-in a batch must have the same bits. Its ``_gaps``, for a draw of one
-threshold below ``RARE``, draws the whole slot at once and adds up the
-flagged positions in a plain loop, where ``lfqkd.simulate`` draws chunks,
-sums gaps with ``np.cumsum`` and advances past the doubles it did not read.
+outside (0, 1) and advances the stream past it, and compares each block
+with one threshold row at a time, where this one compares every row at
+once; with this one swapped in a batch must have the same bits. Its
+``_gaps``, for a draw of one threshold below ``RARE``, draws the whole slot
+at once and adds up the flagged positions in a plain loop, where
+``lfqkd.simulate`` draws chunks, sums gaps with ``np.cumsum`` and advances
+past the doubles it did not read.
 """
 
 import math

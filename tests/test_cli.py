@@ -100,9 +100,11 @@ SCENARIO_FLAGS = {
 # Strong-pulse seed 2 was re-recorded when a one-threshold draw below
 # simulate.RARE moved to geometric gaps; seed 1 kept its bytes, as the one
 # pulse its old stream flagged was in no sifted tally and the new one flags none.
+# Coherent seeds 1 and 2 of both were re-recorded when the coherent channel
+# moved from two uniforms per pulse to one, cut into its four joint outcomes.
 SIMULATE_SHA256 = {
-    ("coherent", "1"): "32224b4fa59fd2598d9114fb2d1543efd7bfa57a652defb37ac8d4867982d014",
-    ("coherent", "2"): "d42d070557578288658ad875cfe884eb286c46e9c44266371aee7940029fc912",
+    ("coherent", "1"): "1f20ed5968b581514c8838c81e43a7e4f1a5369e17eb394a3def0c807e1f38ec",
+    ("coherent", "2"): "afc192fa61abac44281df490ce61b08218d5d3a93a84ee54695814e84bb6fef9",
     ("coherent-memory", "1"): "8508ada00d2f532e0418b836c42888caedf05fb805a25ae1994cbb37e68d9180",
     ("coherent-memory", "2"): "7cdbb0775d18281300a0d2e9939e4f00bf2fe02b232b945bc1b445796cce2174",
     ("single-photon", "1"): "b19df70812bf1765b50030a26121888f3f3c0639ad24151895e12d70fd04286c",
@@ -113,8 +115,8 @@ SIMULATE_SHA256 = {
     ("time-shift", "2"): "1c2aa62b14033fb6e7365fe008e1330ea4a864f150c5de04ff838cec9f727cce",
 }
 COMPARE_SHA256 = {
-    ("coherent", "1"): "70d8d710518704d88258f547a65751e7428165f5886de61b3814e5643e0dd5cb",
-    ("coherent", "2"): "07fa0039457481664e8c5146b6e9f70983acf04a1f2cdfefa245f8c310879f71",
+    ("coherent", "1"): "5da3053f2b6601afeef4f7548c25e179b2da05cab42b0d0ab99aa99adc014c0d",
+    ("coherent", "2"): "02b198b64fd819fddde02ccff90ac229d74140271b4273dc5e08afbc7d9d1d8d",
     ("coherent-memory", "1"): "3fc31bb3bb9ac899fd1fb6226aa2cb14e24e67f63b6c44b8bd7f878570ae93c0",
     ("coherent-memory", "2"): "67dcd135f9e2ee20fc2840670b1d0fb69ebfbe71c853d0ee78bbfef52987b638",
     ("single-photon", "1"): "bb8f71b0abb282fe78935c842b7d7d7c7f204d470f931ed145c3bd5deec20ad6",

@@ -73,10 +73,12 @@ FLAGGING_STRONG_PULSES = [(PERFECT, StrongPulse(6)), (PERFECT, StrongPulse(4))]
 #: a one-threshold draw below ``RARE`` moved to geometric gaps, its flips at
 #: e_d 0.03 among them; the 20-photon strong pulse's kept its bytes, as
 #: neither stream flags any of its 300,001 pulses. So only the last two pins
-#: see the strong pulse's flag draw, one through each of its branches.
+#: see the strong pulse's flag draw, one through each of its branches. The
+#: coherent entry was re-recorded when the coherent channel moved from two
+#: uniforms per pulse to one, cut into its four joint outcomes.
 TRIAL_RECORDS_SHA256 = {
     "single-photon": "cf25260a7dcfdfa756758740da77c59af541574b1e5dc665977cb90944a5dab6",
-    "coherent": "0a6d6fc0c93ebf4ed91e604efec9747068ede0ad17de5ef0821999471f6edc97",
+    "coherent": "d7df986b73f38192e044527b0101e25af0f0892e638ad309686e6b6afeb764c9",
     "coherent-memory": "e0bfd0fa3459528e9536b3e3e879863f5ad84c3c28d743ab5743b70a8b87c561",
     "time-shift": "fbcf3b2be958c0d4f20f1b6b65e5deb943177fdbada4b2af3ae8072cb5342796",
     "strong-pulse": "286cafec81bebed62c4c45b75c0a01f9f90e1af06ea5b84db1676d8f5d4acb07",
@@ -280,11 +282,14 @@ class TestShardSchedule:
         assert len(set(threads)) == 1
 
 
-#: Sources and attacks whose draws may have no threshold inside (0, 1): eta
-#: (eta_m) and e_d at 0, at 1 or in between, the time shift at any e_d and
-#: the one-photon strong pulse. Only a skipped draw with a live one after it
-#: shows where the stream was left: a coherent source whose p_c and p_h
-#: round to 1, with p_w about 1/2 at mu 100 and about 1e-10 at mu 1e300.
+#: Sources and attacks whose uniform draw may have no threshold inside
+#: (0, 1): eta (eta_m) and e_d at 0, at 1 or in between, the time shift at
+#: any e_d and the one-photon strong pulse. A coherent source whose p_c and
+#: p_h round to 1 cuts its uniforms at 0 and 1 but for one cut, 1 - p_w,
+#: about 1/2 at mu 100 and 1 - 1e-10 at mu 1e300. Each shard makes one
+#: uniform draw, its last, so no later draw shows where a skipped one left
+#: the stream: ``test_draw_of_no_live_threshold_is_advanced_over`` and
+#: ``test_shard_reads_one_uniform_per_pulse`` check that.
 LEVELS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 FIXED_DRAW_SCENARIOS = st.one_of(
     st.builds(lambda eta, e_d: (SinglePhoton(eta=eta, e_d=e_d), None), LEVELS, LEVELS),
@@ -324,13 +329,34 @@ class TestBlockDraws:
             assert np.array_equal(unpack(flag, n), u < p)
 
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, SHARD_SIZE])
-    def test_two_draws_are_the_rows_of_the_coherent_draw(self, n):
+    def test_consecutive_draws_read_consecutive_doubles(self, n):
         u = np.random.default_rng(n).random((2, n))
         rng = np.random.default_rng(n)
         (row_0,) = _below(rng, n, 0.3)
         (row_1,) = _below(rng, n, 0.6)
         assert np.array_equal(unpack(row_0, n), u[0] < 0.3)
         assert np.array_equal(unpack(row_1, n), u[1] < 0.6)
+
+    @pytest.mark.parametrize("n", [1, 63, BLOCK + 1, SHARD_SIZE])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            COH_MODEL,
+            CoherentDecoy(mu=0.5, eta=1.0, e_d=0.0),
+            CoherentDecoy(mu=0.5, eta=0.0, e_d=0.02),
+        ],
+        ids=["coherent", "errorless", "dark"],
+    )
+    def test_shard_reads_one_uniform_per_pulse(self, n, model):
+        # A coherent shard reads its fair bytes' ceil(n/8) raw words, then
+        # one double per pulse for all six cuts, made or, in the dark,
+        # advanced over.
+        rng = np.random.default_rng(n)
+        _simulate_shard(model, None, n, rng)
+        expected = np.random.default_rng(n)
+        expected.bit_generator.random_raw(-(-n // 8))
+        expected.random(n)
+        assert rng.random(3).tolist() == expected.random(3).tolist()
 
     @pytest.mark.parametrize("n", [1, 63, BLOCK + 1, SHARD_SIZE])
     def test_draw_of_no_live_threshold_is_advanced_over(self, n):
@@ -402,7 +428,7 @@ class TestBlockDraws:
     )
     def test_skipped_draws_give_the_bits_of_made_ones(self, scenario, n_pulses, seed):
         # The reference makes every draw; the same bits show that each
-        # skipped draw is advanced over by exactly its n doubles.
+        # skipped draw's constant planes are the flags the draw would give.
         model, adversary = scenario
         batch = run_trials(model, adversary, n_pulses, seed)
         records = trial_records(model, adversary, n_pulses, seed).tobytes()
@@ -529,6 +555,30 @@ class TestHonestChannels:
         assert abs(stats.q_s - expected) <= binomial_3sigma(expected, batch.n_pulses)
         assert batch.n_double == 0
         assert stats.e_s == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mu=st.one_of(st.floats(1e-9, 10.0), st.sampled_from([40.0, 1e3, 1e300])),
+        eta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        n_pulses=st.integers(1, 3 * BLOCK),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(mu=1e300, eta=1.0, n_pulses=SHARD_SIZE + 65, seed=3)
+    @example(mu=40.0, eta=1.0, n_pulses=BLOCK + 1, seed=5)
+    def test_errorless_coherent_has_structural_zeros(self, mu, eta, n_pulses, seed):
+        # At e_d = 0 the wrong detector of a matched pulse never fires: no
+        # sifted double click and no sifted single-click error, exactly.
+        # Where p_c rounds to 1, every matched pulse fires the correct one.
+        model = CoherentDecoy(mu=mu, eta=eta, e_d=0.0)
+        records = trial_records(model, None, n_pulses, seed)
+        matched = records[records["alice_basis"] == records["bob_basis"]]
+        singles = matched[matched["kind"] == ClickKind.SINGLE]
+        assert np.count_nonzero(matched["kind"] == ClickKind.DOUBLE) == 0
+        assert np.array_equal(singles["assigned_bit"], singles["alice_bit"])
+        batch = run_trials(model, None, n_pulses, seed)
+        assert (batch.n_double, batch.n_single_errors) == (0, 0)
+        if coherent_fire_probabilities(mu, eta, 0.0)[0] == 1.0:
+            assert len(singles) == len(matched) == batch.n_single
 
     def test_coherent_matches_poisson_enumeration(self):
         p_none, p_single, p_double, e_s = poisson_click_classes(0.8 * 0.5, 0.02)
