@@ -35,7 +35,8 @@ taken in shard order, so tallies and records do not depend on the pool's
 width or on the order in which shards finish.
 
 Each shard of n pulses makes two draws, in this order, and leaves its
-generator ceil(n/8) raw 64-bit outputs and n doubles on:
+generator ceil(n/8) raw 64-bit outputs and n doubles on, or ceil(n/2)
+raw outputs in place of the doubles for the coherent channel:
 
 1. ``rng.bytes(n)``: one fair byte per pulse, read from the raw 64-bit
    outputs it consumes (``_fair_planes``). Bit 0 is Alice's bit, bit 1
@@ -46,15 +47,16 @@ generator ceil(n/8) raw 64-bit outputs and n doubles on:
    picks the active detector), or Eve's basis (4), Eve's bit for a
    mismatched guess (5) and the single-click bit of a basis Bob and Eve do
    not share (6) for the strong pulse. Bit 7 is unused.
-2. Uniforms in [0, 1): ``rng.random(n)``, one per pulse, for every
-   channel; each threshold of the draw flags the pulses whose uniform lies
-   below it. They are drawn ``BLOCK`` at a time into one small buffer;
-   ``rng.random`` fills a block with the doubles one whole draw would put
-   there, so the stream is that of the whole draw, without an n-element
-   float array per shard. A draw whose every threshold is at most 0 or at
-   least 1 (the time-shift attack at e_d = 0, say) flags no pulse or every
-   pulse whatever u is: it is not made, and the stream is advanced past its
-   doubles instead. A draw of one threshold p in (0, ``RARE``) (the strong
+2. Uniforms in [0, 1), one per pulse, for every channel; each threshold
+   of the draw flags the pulses whose uniform lies below it. They are
+   drawn ``BLOCK`` at a time, so the stream is that of one whole draw
+   without an n-element array per shard: the doubles of ``rng.random(n)``,
+   or for the coherent channel 32-bit uniforms, halves of raw outputs, low
+   half first, compared with the cuts round(p * 2**32). A draw whose every
+   threshold is at most 0 or at least 1 (every cut 0 or 2**32; the
+   time-shift attack at e_d = 0, say) flags no pulse or every pulse
+   whatever u is: it is not made, and the stream is advanced past its slot
+   instead. A draw of one threshold p in (0, ``RARE``) (the strong
    pulse of 6 or more photons, the time-shift flip at 0 < e_d < 1/16)
    reads geometric gaps between its flags from the first of its n doubles,
    about n*p + 1 of them, and the stream is advanced to the end of its n
@@ -76,19 +78,21 @@ The coherent channel uses the per-detector fire probabilities of
 ``rates.coherent_fire_probabilities``: the detector of Alice's bit and the
 other one fire independently, with chances c and w (p_c and p_w on a
 matched pulse, p_h each on a mismatched one). So a pulse has one of four
-joint outcomes, and its uniform u picks one from [0, 1) cut as [no click |
-correct only | both | wrong only] at t0 = (1-c)(1-w), t1 = 1 - w and
-t2 = t0 + c (``_cuts``): the detector of Alice's bit fires where
-t0 <= u < t2, the other one where u >= t1. Its draw has six thresholds,
-three per basis class, and ``matched`` selects the three of each pulse. At
-e_d = 0, w = 0 and t1 = 1, so no matched pulse fires the wrong detector;
-where p_c rounds to 1, t0 = 0 and t2 = 1, so every matched pulse fires the
-correct one. A single-photon or memory pulse clicks when its uniform
-u < eta (eta_m) and is flipped when u < eta*e_d, so a click is flipped with
-probability e_d; under the time-shift attack the transmittance is 1 and a
-pulse is flipped with chance e_d, and the strong pulse reaches one
-detector with chance 2**(1 - n): at the flags of a gap draw when that
-chance is below ``RARE``, else where its uniform u falls below it.
+joint outcomes, and its 32-bit uniform u picks one from [0, 1) cut as [no
+click | correct only | both | wrong only] at t0 = (1-c)(1-w), t1 = 1 - w
+and t2 = t0 + c (``_cuts``), each rounded to a multiple of 2**-32, so each
+outcome's chance is within 2**-32 of exact: the detector of Alice's bit
+fires where t0 <= u < t2, the other one where u >= t1. Its draw has six
+thresholds, three per basis class, and ``matched`` selects the three of
+each pulse. At e_d = 0, w = 0 and t1 = 1, so no matched pulse fires the
+wrong detector; where p_c rounds to 1, t0 = 0 and t2 = 1, so every matched
+pulse fires the correct one. A single-photon or memory pulse clicks when
+its uniform u < eta (eta_m) and is flipped when u < eta*e_d, so a click is
+flipped with probability e_d; under the time-shift attack the
+transmittance is 1 and a pulse is flipped with chance e_d, and the strong
+pulse reaches one detector with chance 2**(1 - n): at the flags of a gap
+draw when that chance is below ``RARE``, else where its uniform u falls
+below it.
 
 Two adversaries are modeled. The extreme time-shift attack makes one
 uniformly chosen detector fully active and the other inactive (Bob-side
@@ -127,9 +131,9 @@ from .rates import key_rate  # noqa: F401  -- not called here; bench/tracing.py 
 SHARD_SIZE = 1 << 18
 
 #: Uniforms per block draw. Not part of the stream: any block size gives the
-#: same doubles. A quarter of a shard: each block costs calls that pass
-#: through the GIL, and at 2**14 a pooled 10**6-pulse batch took about 10%
-#: longer.
+#: same doubles, and any even one the same 32-bit uniforms. A quarter of a
+#: shard: each block costs calls that pass through the GIL, and at 2**14 a
+#: pooled 10**6-pulse batch took about 10% longer.
 BLOCK = 1 << 16
 
 #: A draw of one flag chance p in (0, RARE) is made by geometric gaps
@@ -308,36 +312,47 @@ def _gaps(rng, n, p):
     return plane[None]
 
 
-def _below(rng, n, *thresholds):
+def _below(rng, n, *thresholds, u32=False):
     """Flag planes ``u < p``, one row per threshold ``p``, over the next
     ``n`` uniforms of ``rng``: the flags of ``u = rng.random(n)``, unless
-    the draw has one threshold in (0, ``RARE``).
+    the draw has one threshold in (0, ``RARE``) or is ``u32``.
 
-    The uniforms are drawn ``BLOCK`` at a time into one reused buffer, and
-    each row's flags are compared into one reused ``BLOCK`` of bools and
-    packed in turn, so a shard holds no n-element float array and no
-    (rows, ``BLOCK``) flag array. At most one block is one draw.
-    Every u lies in [0, 1), so a p <= 0 flags no pulse and a p >= 1 every
-    pulse: when no p lies strictly inside (0, 1) the planes are constant
-    and nothing is drawn. A draw of one p below ``RARE`` flags its pulses
-    by ``_gaps`` instead: the same chance per pulse, from the first of its
-    doubles. The stream is advanced past the n doubles, one raw 64-bit
-    output each, so a later draw reads the doubles it would.
+    The uniforms are drawn ``BLOCK`` at a time, and each row's flags are
+    compared into one reused ``BLOCK`` of bools and packed in turn, so a
+    shard holds no n-element uniform array and no (rows, ``BLOCK``) flag
+    array. At most one block is one draw. Every u lies in [0, 1), so a
+    p <= 0 flags no pulse and a p >= 1 every pulse: when no p lies strictly
+    inside (0, 1) the planes are constant and nothing is drawn. A draw of
+    one p below ``RARE`` flags its pulses by ``_gaps`` instead: the same
+    chance per pulse, from the first of its doubles. The stream is advanced
+    past the n doubles, one raw 64-bit output each, so a later draw reads
+    the doubles it would.
+
+    A ``u32`` draw reads 32-bit uniforms, pulse j from half j mod 2 (low
+    half first) of raw output j // 2, against the cuts round(p * 2**32) in
+    [0, 2**32]: a cut is an integer, so no draw of cuts goes to ``_gaps``.
     """
+    top, slot = (1 << 32, -(-n // 2)) if u32 else (1.0, n)
+    if u32:
+        thresholds = [round(math.ldexp(t, 32)) for t in thresholds]
     for t in thresholds:  # a loop: any() over a generator adds about 0.6 us a draw
-        if 0.0 < t < 1.0:
+        if 0 < t < top:
             break
     else:
-        rng.bit_generator.advance(n)
+        rng.bit_generator.advance(slot)
         p = np.array(thresholds)[:, None]
-        return np.repeat(np.where(p >= 1.0, ~np.uint64(0), np.uint64(0)), -(-n // 64), axis=1)
+        return np.repeat(np.where(p >= top, ~np.uint64(0), np.uint64(0)), -(-n // 64), axis=1)
     if len(thresholds) == 1 and t < RARE:
         return _gaps(rng, n, t)
-    u, flags = np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK), bool)
+    u, flags = None if u32 else np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK), bool)
     planes = np.empty((len(thresholds), 8 * -(-n // 64)), np.uint8)
     for start in range(0, n, BLOCK):
-        block = u[: min(BLOCK, n - start)]
-        rng.random(out=block)
+        m = min(BLOCK, n - start)
+        if u32:
+            raw = rng.bit_generator.random_raw(-(-m // 2))
+            block = raw.astype("<u8", copy=False).view("<u4")[:m]
+        else:
+            block = rng.random(out=u[:m])
         for plane, p in zip(planes, thresholds):
             packed = np.packbits(np.less(block, p, out=flags[: len(block)]), bitorder="little")
             plane[start // 8 : start // 8 + len(packed)] = packed
@@ -357,11 +372,11 @@ def _honest_hits(model, fair, matched, n, rng):
     if model.tag == "coherent":
         # Poisson splitting: the detector of Alice's bit and the other one
         # fire independently, with chance p_c and p_w on a matched pulse and
-        # p_h each on a mismatched one. One uniform per pulse picks the joint
-        # outcome: the detector of Alice's bit fires between the first and
-        # the third cut, the other one from the second cut on.
+        # p_h each on a mismatched one. One 32-bit uniform per pulse picks
+        # the joint outcome: the detector of Alice's bit fires between the
+        # first and the third cut, the other one from the second cut on.
         p_c, p_w, p_h = coherent_fire_probabilities(model.mu, model.eta, model.e_d)
-        flags = _below(rng, n, *_cuts(p_c, p_w), *_cuts(p_h, p_h)).reshape(2, 3, -1)
+        flags = _below(rng, n, *_cuts(p_c, p_w), *_cuts(p_h, p_h), u32=True).reshape(2, 3, -1)
         no_click, wrong_silent, not_wrong_only = _select(matched, *flags)
         correct = not_wrong_only & ~no_click
         wrong = ~wrong_silent

@@ -27,6 +27,8 @@ every draw: ``lfqkd.simulate`` skips a draw whose every threshold lies
 outside (0, 1) and advances the stream past it, and compares each block
 with one threshold row at a time, where this one compares every row at
 once; with this one swapped in a batch must have the same bits. Its
+32-bit draw, for the coherent channel, reads the whole slot in one call
+and compares against int64 cuts. Its
 ``_gaps``, for a draw of one threshold below ``RARE``, draws the whole slot
 at once and adds up the flagged positions in a plain loop, where
 ``lfqkd.simulate`` draws chunks, sums gaps with ``np.cumsum`` and advances
@@ -286,14 +288,22 @@ def _tally(a: dict) -> np.ndarray:
     return counts
 
 
-def _below(rng, n, *thresholds):
+def _below(rng, n, *thresholds, u32=False):
     """Flag planes ``u < p``, one row per threshold ``p``, over the next
     ``n`` uniforms of ``rng``: the flags of ``u = rng.random(n)``, or of
     its geometric gaps for one p in (0, ``RARE``).
 
     The uniforms are drawn ``BLOCK`` at a time into one reused buffer, so
     a shard holds no n-element float array. At most one block is one draw.
+    A ``u32`` draw reads the whole slot at once: ``random_raw(ceil(n/2))``
+    as little-endian uint32, its first n halves, each compared with the
+    cut ``round(p * 2**32)`` of every row.
     """
+    if u32:
+        halves = rng.bit_generator.random_raw(-(-n // 2)).astype("<u8").view("<u4")[:n]
+        cuts = np.array([round(math.ldexp(p, 32)) for p in thresholds], np.int64)[:, None]
+        flags = halves < cuts
+        return _packed(n, len(thresholds), lambda start, stop: flags[:, start:stop])
     if len(thresholds) == 1 and 0.0 < thresholds[0] < RARE:
         return _gaps(rng, n, thresholds[0])
     p, u = np.array(thresholds)[:, None], np.empty(min(n, BLOCK))

@@ -101,10 +101,11 @@ SCENARIO_FLAGS = {
 # simulate.RARE moved to geometric gaps; seed 1 kept its bytes, as the one
 # pulse its old stream flagged was in no sifted tally and the new one flags none.
 # Coherent seeds 1 and 2 of both were re-recorded when the coherent channel
-# moved from two uniforms per pulse to one, cut into its four joint outcomes.
+# moved from two uniforms per pulse to one, cut into its four joint outcomes,
+# and again when that uniform became 32 bits, half a raw output, not a double.
 SIMULATE_SHA256 = {
-    ("coherent", "1"): "1f20ed5968b581514c8838c81e43a7e4f1a5369e17eb394a3def0c807e1f38ec",
-    ("coherent", "2"): "afc192fa61abac44281df490ce61b08218d5d3a93a84ee54695814e84bb6fef9",
+    ("coherent", "1"): "c35aac64fb675cfbfa801a3c7a27d5cd47478adfcab4f46327fe6b2ec9f01e0e",
+    ("coherent", "2"): "8c0d7a6f4360ec19e2b475281a839d79ff4eef08c4b78430d0ba9a4c0ce061bf",
     ("coherent-memory", "1"): "8508ada00d2f532e0418b836c42888caedf05fb805a25ae1994cbb37e68d9180",
     ("coherent-memory", "2"): "7cdbb0775d18281300a0d2e9939e4f00bf2fe02b232b945bc1b445796cce2174",
     ("single-photon", "1"): "b19df70812bf1765b50030a26121888f3f3c0639ad24151895e12d70fd04286c",
@@ -115,8 +116,8 @@ SIMULATE_SHA256 = {
     ("time-shift", "2"): "1c2aa62b14033fb6e7365fe008e1330ea4a864f150c5de04ff838cec9f727cce",
 }
 COMPARE_SHA256 = {
-    ("coherent", "1"): "5da3053f2b6601afeef4f7548c25e179b2da05cab42b0d0ab99aa99adc014c0d",
-    ("coherent", "2"): "02b198b64fd819fddde02ccff90ac229d74140271b4273dc5e08afbc7d9d1d8d",
+    ("coherent", "1"): "c22bfe5d13207130b14b1efd077e44f1fbbf2db4c95abeff9fddc8baabdbc0df",
+    ("coherent", "2"): "4e764c7d5ba7ab334b042589c5f1a93a9c5f6002444ad671462445951b428270",
     ("coherent-memory", "1"): "3fc31bb3bb9ac899fd1fb6226aa2cb14e24e67f63b6c44b8bd7f878570ae93c0",
     ("coherent-memory", "2"): "67dcd135f9e2ee20fc2840670b1d0fb69ebfbe71c853d0ee78bbfef52987b638",
     ("single-photon", "1"): "bb8f71b0abb282fe78935c842b7d7d7c7f204d470f931ed145c3bd5deec20ad6",

@@ -75,10 +75,11 @@ FLAGGING_STRONG_PULSES = [(PERFECT, StrongPulse(6)), (PERFECT, StrongPulse(4))]
 #: neither stream flags any of its 300,001 pulses. So only the last two pins
 #: see the strong pulse's flag draw, one through each of its branches. The
 #: coherent entry was re-recorded when the coherent channel moved from two
-#: uniforms per pulse to one, cut into its four joint outcomes.
+#: uniforms per pulse to one, cut into its four joint outcomes, and again
+#: when that uniform became 32 bits, half a raw output, not a double.
 TRIAL_RECORDS_SHA256 = {
     "single-photon": "cf25260a7dcfdfa756758740da77c59af541574b1e5dc665977cb90944a5dab6",
-    "coherent": "d7df986b73f38192e044527b0101e25af0f0892e638ad309686e6b6afeb764c9",
+    "coherent": "60b6cfd779b84c16d14334cce5efd26fde2eaeec978a30d10ceccecf02a58976",
     "coherent-memory": "e0bfd0fa3459528e9536b3e3e879863f5ad84c3c28d743ab5743b70a8b87c561",
     "time-shift": "fbcf3b2be958c0d4f20f1b6b65e5deb943177fdbada4b2af3ae8072cb5342796",
     "strong-pulse": "286cafec81bebed62c4c45b75c0a01f9f90e1af06ea5b84db1676d8f5d4acb07",
@@ -285,9 +286,10 @@ class TestShardSchedule:
 #: Sources and attacks whose uniform draw may have no threshold inside
 #: (0, 1): eta (eta_m) and e_d at 0, at 1 or in between, the time shift at
 #: any e_d and the one-photon strong pulse. A coherent source whose p_c and
-#: p_h round to 1 cuts its uniforms at 0 and 1 but for one cut, 1 - p_w,
-#: about 1/2 at mu 100 and 1 - 1e-10 at mu 1e300. Each shard makes one
-#: uniform draw, its last, so no later draw shows where a skipped one left
+#: p_h round to 1 cuts its 32-bit uniforms at 0 and 2^32 but for one cut,
+#: 1 - p_w, about 1/2 at mu 100 and 1 - 1e-10 at mu 1e300; at e_d = 0 that
+#: cut is 2^32 too, and in the dark (eta = 0) every cut is. Each shard makes
+#: one uniform draw, its last, so no later draw shows where a skipped one left
 #: the stream: ``test_draw_of_no_live_threshold_is_advanced_over`` and
 #: ``test_shard_reads_one_uniform_per_pulse`` check that.
 LEVELS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -328,6 +330,70 @@ class TestBlockDraws:
         for flag, p in zip(flags, thresholds):
             assert np.array_equal(unpack(flag, n), u < p)
 
+    @pytest.mark.parametrize("n", [1, 63, BLOCK - 1, BLOCK, BLOCK + 1, SHARD_SIZE])
+    @pytest.mark.parametrize(
+        "thresholds",
+        [
+            (0.0, 0.02, 0.3, 1.0),
+            (2.0**-33, 2.0**-32, 0.5, 1.0 - 2.0**-32),
+            (0.02,),
+            (0.0, 1.0 - 2.0**-34, 1.0),
+        ],
+        ids=["0-interior-2^32", "edges", "lone", "constant"],
+    )
+    def test_32_bit_flags_match_the_whole_slot_draw(self, n, thresholds):
+        # Cuts 0, 1, 2^31, 2^32 - 1 and 2^32; a lone cut of 0.02 is compared,
+        # not drawn by gaps, and a draw of cuts 0 and 2^32 alone is advanced over.
+        rng, expected = np.random.default_rng(n), np.random.default_rng(n)
+        flags = _below(rng, n, *thresholds, u32=True)
+        whole = reference._below(expected, n, *thresholds, u32=True)
+        assert flags.dtype == np.uint64
+        assert flags.shape == (len(thresholds), -(-n // 64))
+        for flag, row in zip(flags, whole):
+            assert np.array_equal(unpack(flag, n), unpack(row, n))
+        assert rng.random(3).tolist() == expected.random(3).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.floats(0.0, 1.0))
+    @example(t=2.0**-33)
+    @example(t=3 * 2.0**-33)
+    @example(t=1.0 - 2.0**-33)
+    @example(t=math.nextafter(1.0, 0.0))
+    def test_32_bit_cut_is_within_2_to_the_minus_33(self, t):
+        # The cut of t is round(t * 2^32), and a 32-bit uniform is flagged
+        # exactly when it lies below it: of the two uniforms around the
+        # cut only the lower one is.
+        cut = round(math.ldexp(t, 32))
+        assert 0 <= cut <= 2**32
+        assert abs(math.ldexp(cut, -32) - t) <= 2.0**-33
+        halves = np.array([max(cut - 1, 0), min(cut, 2**32 - 1)], "<u4")
+
+        class Words:  # hands out the two halves as one raw word
+            def __init__(self):
+                self.bit_generator = self
+
+            def random_raw(self, m):
+                assert m == 1
+                return halves.view("<u8").copy()
+
+            def advance(self, k):
+                assert k == 1
+
+        (flags,) = _below(Words(), 2, t, u32=True)
+        assert unpack(flags, 2).tolist() == (halves < cut).tolist()
+
+    @pytest.mark.parametrize("t", [2.0**-20, 0.3, 1.0 - 2.0**-20])
+    def test_32_bit_draws_flag_n_t_pulses_in_all(self, t):
+        # 256 shard-sized draws from one stream: the pooled flag count is
+        # within 6 sigma of n * t; the cut moves the mean by n * 2^-33 at most.
+        rng, draws = np.random.default_rng(24), 256
+        total = sum(
+            int(np.bitwise_count(_below(rng, SHARD_SIZE, t, u32=True)).sum())
+            for _ in range(draws)
+        )
+        n = draws * SHARD_SIZE
+        assert abs(total - n * t) <= 6.0 * math.sqrt(n * t * (1.0 - t))
+
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, SHARD_SIZE])
     def test_consecutive_draws_read_consecutive_doubles(self, n):
         u = np.random.default_rng(n).random((2, n))
@@ -344,18 +410,20 @@ class TestBlockDraws:
             COH_MODEL,
             CoherentDecoy(mu=0.5, eta=1.0, e_d=0.0),
             CoherentDecoy(mu=0.5, eta=0.0, e_d=0.02),
+            SP_MODEL,
         ],
-        ids=["coherent", "errorless", "dark"],
+        ids=["coherent", "errorless", "dark", "single-photon"],
     )
     def test_shard_reads_one_uniform_per_pulse(self, n, model):
-        # A coherent shard reads its fair bytes' ceil(n/8) raw words, then
-        # one double per pulse for all six cuts, made or, in the dark,
-        # advanced over.
+        # A shard reads its fair bytes' ceil(n/8) raw words, then one
+        # uniform per pulse: a double, one raw word, for the single photon,
+        # and a 32-bit half of one for all six coherent cuts, ceil(n/2) raw
+        # words made or, in the dark, advanced over.
         rng = np.random.default_rng(n)
         _simulate_shard(model, None, n, rng)
+        slot = -(-n // 2) if model.tag == "coherent" else n
         expected = np.random.default_rng(n)
-        expected.bit_generator.random_raw(-(-n // 8))
-        expected.random(n)
+        expected.bit_generator.random_raw(-(-n // 8) + slot)
         assert rng.random(3).tolist() == expected.random(3).tolist()
 
     @pytest.mark.parametrize("n", [1, 63, BLOCK + 1, SHARD_SIZE])
@@ -426,9 +494,13 @@ class TestBlockDraws:
         scenario=(CoherentDecoy(mu=1e300, eta=1.0, e_d=1e-310), None),
         n_pulses=SHARD_SIZE + 65, seed=2,
     )
+    @example(scenario=(CoherentDecoy(mu=1e300, eta=1.0, e_d=0.0), None), n_pulses=97, seed=3)
+    @example(scenario=(CoherentDecoy(mu=0.5, eta=0.0, e_d=0.02), None), n_pulses=97, seed=4)
     def test_skipped_draws_give_the_bits_of_made_ones(self, scenario, n_pulses, seed):
-        # The reference makes every draw; the same bits show that each
-        # skipped draw's constant planes are the flags the draw would give.
+        # The reference makes every draw, of doubles or of 32-bit uniforms;
+        # the same bits show that each skipped draw's constant planes are
+        # the flags the draw would give. The last two examples skip a
+        # coherent draw: every cut is 0 or 2^32.
         model, adversary = scenario
         batch = run_trials(model, adversary, n_pulses, seed)
         records = trial_records(model, adversary, n_pulses, seed).tobytes()
@@ -509,14 +581,24 @@ class TestTally:
         seed=st.integers(0, 2**64 - 1),
     )
     def test_padding_bits_never_count(self, n, scenario, seed):
-        model, adversary = scenario
-        a = _simulate_shard(model, adversary, n, np.random.default_rng(seed))
-        counts = _tally(a)
-        padding = ~np.uint64((1 << n % 64) - 1) if n % 64 else np.uint64(0)
-        for plane in (*(a[name] for name in PLANE_FIELDS), *a["kind"]):
-            plane[-1] |= padding
-        assert np.array_equal(_tally(a), counts)
-        assert counts[0].sum() == np.count_nonzero(unpacked_shard(a)["matched"])
+        assert_padding_bits_never_count(*scenario, n, seed)
+
+    @pytest.mark.parametrize("n", [1, 63, 65, SHARD_SIZE - 1])
+    @pytest.mark.parametrize("model, adversary", SCENARIOS)
+    def test_padding_bits_of_every_scenario_never_count(self, model, adversary, n):
+        assert_padding_bits_never_count(model, adversary, n, seed=n)
+
+
+def assert_padding_bits_never_count(model, adversary, n, seed):
+    """``_tally`` gives the same six counts with every plane's padding bits
+    set to ones: the packed planes leave them as they come."""
+    a = _simulate_shard(model, adversary, n, np.random.default_rng(seed))
+    counts = _tally(a)
+    padding = ~np.uint64((1 << n % 64) - 1) if n % 64 else np.uint64(0)
+    for plane in (*(a[name] for name in PLANE_FIELDS), *a["kind"]):
+        plane[-1] |= padding
+    assert np.array_equal(_tally(a), counts)
+    assert counts[0].sum() == np.count_nonzero(unpacked_shard(a)["matched"])
 
 
 class TestPartition:
