@@ -56,11 +56,12 @@ raw outputs in place of the doubles for the coherent channel:
    threshold is at most 0 or at least 1 (every cut 0 or 2**32; the
    time-shift attack at e_d = 0, say) flags no pulse or every pulse
    whatever u is: it is not made, and the stream is advanced past its slot
-   instead. A draw of one threshold p in (0, ``RARE``) (the strong
-   pulse of 6 or more photons, the time-shift flip at 0 < e_d < 1/16)
-   reads geometric gaps between its flags from the first of its n doubles,
-   about n*p + 1 of them, and the stream is advanced to the end of its n
-   (``_gaps``). Each pulse is still flagged with chance p.
+   instead. In any other draw such a threshold's row is not compared. A
+   draw of one threshold p in (0, ``RARE``) (the strong pulse of 6 or more
+   photons, the time-shift flip at 0 < e_d < 1/16) reads geometric gaps
+   between its flags from the first of its n doubles, about n*p + 1 of
+   them, and the stream is advanced to the end of its n (``_gaps``). Each
+   pulse is still flagged with chance p.
 
 Every per-pulse quantity is a bit plane: a uint64 array with pulse
 64*w + j in bit j of word w; no count reads the padding bits. Plane k of
@@ -82,17 +83,18 @@ joint outcomes, and its 32-bit uniform u picks one from [0, 1) cut as [no
 click | correct only | both | wrong only] at t0 = (1-c)(1-w), t1 = 1 - w
 and t2 = t0 + c (``_cuts``), each rounded to a multiple of 2**-32, so each
 outcome's chance is within 2**-32 of exact: the detector of Alice's bit
-fires where t0 <= u < t2, the other one where u >= t1. Its draw has six
-thresholds, three per basis class, and ``matched`` selects the three of
-each pulse. At e_d = 0, w = 0 and t1 = 1, so no matched pulse fires the
-wrong detector; where p_c rounds to 1, t0 = 0 and t2 = 1, so every matched
-pulse fires the correct one. A single-photon or memory pulse clicks when
-its uniform u < eta (eta_m) and is flipped when u < eta*e_d, so a click is
-flipped with probability e_d; under the time-shift attack the
-transmittance is 1 and a pulse is flipped with chance e_d, and the strong
-pulse reaches one detector with chance 2**(1 - n): at the flags of a gap
-draw when that chance is below ``RARE``, else where its uniform u falls
-below it.
+fires where t0 <= u < t2, the other one where u >= t1. A ``trial_records``
+draw has six thresholds, three per basis class, and ``matched`` selects
+the three of each pulse; a ``run_trials`` draw, whose tally reads matched
+pulses alone, compares the same uniforms with the matched three only. At
+e_d = 0, w = 0 and t1 = 1, so no matched pulse fires the wrong detector;
+where p_c rounds to 1, t0 = 0 and t2 = 1, so every matched pulse fires the
+correct one. A single-photon or memory pulse clicks when its uniform
+u < eta (eta_m) and is flipped when u < eta*e_d, so a click is flipped
+with probability e_d; under the time-shift attack the transmittance is 1
+and a pulse is flipped with chance e_d, and the strong pulse reaches one
+detector with chance 2**(1 - n): at the flags of a gap draw when that
+chance is below ``RARE``, else where its uniform u falls below it.
 
 Two adversaries are modeled. The extreme time-shift attack makes one
 uniformly chosen detector fully active and the other inactive (Bob-side
@@ -321,31 +323,33 @@ def _below(rng, n, *thresholds, u32=False):
     compared into one reused ``BLOCK`` of bools and packed in turn, so a
     shard holds no n-element uniform array and no (rows, ``BLOCK``) flag
     array. At most one block is one draw. Every u lies in [0, 1), so a
-    p <= 0 flags no pulse and a p >= 1 every pulse: when no p lies strictly
-    inside (0, 1) the planes are constant and nothing is drawn. A draw of
-    one p below ``RARE`` flags its pulses by ``_gaps`` instead: the same
-    chance per pulse, from the first of its doubles. The stream is advanced
-    past the n doubles, one raw 64-bit output each, so a later draw reads
-    the doubles it would.
+    p <= 0 flags no pulse and a p >= 1 every pulse: its row is a constant
+    plane, not compared, and when no p lies strictly inside (0, 1) nothing
+    is drawn. A draw of one p below ``RARE`` flags its pulses by ``_gaps``
+    instead: the same chance per pulse, from the first of its doubles. The
+    stream is advanced past the n doubles, one raw 64-bit output each, so a
+    later draw reads the doubles it would.
 
     A ``u32`` draw reads 32-bit uniforms, pulse j from half j mod 2 (low
     half first) of raw output j // 2, against the cuts round(p * 2**32) in
-    [0, 2**32]: a cut is an integer, so no draw of cuts goes to ``_gaps``.
+    [0, 2**32], a row of cut 0 or 2**32 constant: a cut is an integer, so
+    no draw of cuts goes to ``_gaps``.
     """
     top, slot = (1 << 32, -(-n // 2)) if u32 else (1.0, n)
     if u32:
         thresholds = [round(math.ldexp(t, 32)) for t in thresholds]
-    for t in thresholds:  # a loop: any() over a generator adds about 0.6 us a draw
+    if len(thresholds) == 1 and 0 < thresholds[0] < RARE:
+        return _gaps(rng, n, thresholds[0])
+    planes, live = np.empty((len(thresholds), 8 * -(-n // 64)), np.uint8), []
+    for plane, t in zip(planes, thresholds):
         if 0 < t < top:
-            break
-    else:
+            live.append((plane, t))
+        else:
+            plane.fill(255 if t >= top else 0)
+    if not live:
         rng.bit_generator.advance(slot)
-        p = np.array(thresholds)[:, None]
-        return np.repeat(np.where(p >= top, ~np.uint64(0), np.uint64(0)), -(-n // 64), axis=1)
-    if len(thresholds) == 1 and t < RARE:
-        return _gaps(rng, n, t)
+        return planes.view(np.uint64)
     u, flags = None if u32 else np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK), bool)
-    planes = np.empty((len(thresholds), 8 * -(-n // 64)), np.uint8)
     for start in range(0, n, BLOCK):
         m = min(BLOCK, n - start)
         if u32:
@@ -353,7 +357,7 @@ def _below(rng, n, *thresholds, u32=False):
             block = raw.astype("<u8", copy=False).view("<u4")[:m]
         else:
             block = rng.random(out=u[:m])
-        for plane, p in zip(planes, thresholds):
+        for plane, p in live:
             packed = np.packbits(np.less(block, p, out=flags[: len(block)]), bitorder="little")
             plane[start // 8 : start // 8 + len(packed)] = packed
     return planes.view(np.uint64)
@@ -367,17 +371,20 @@ def _cuts(c, w):
     return no_click, 1.0 - w, no_click + c
 
 
-def _honest_hits(model, fair, matched, n, rng):
-    """Click-kind planes and single-click bits for the honest channel of ``model``."""
+def _honest_hits(model, fair, matched, n, rng, sifted=False):
+    """Click-kind planes and single-click bits for the honest channel of
+    ``model``; only those of matched pulses hold when ``sifted``."""
     if model.tag == "coherent":
         # Poisson splitting: the detector of Alice's bit and the other one
         # fire independently, with chance p_c and p_w on a matched pulse and
         # p_h each on a mismatched one. One 32-bit uniform per pulse picks
         # the joint outcome: the detector of Alice's bit fires between the
-        # first and the third cut, the other one from the second cut on.
+        # first and the third cut, the other one from the second cut on. A
+        # sifted draw compares the same uniforms with the matched cuts alone.
         p_c, p_w, p_h = coherent_fire_probabilities(model.mu, model.eta, model.e_d)
-        flags = _below(rng, n, *_cuts(p_c, p_w), *_cuts(p_h, p_h), u32=True).reshape(2, 3, -1)
-        no_click, wrong_silent, not_wrong_only = _select(matched, *flags)
+        cuts = _cuts(p_c, p_w) + (() if sifted else _cuts(p_h, p_h))
+        flags = _below(rng, n, *cuts, u32=True).reshape(-1, 3, len(matched))
+        no_click, wrong_silent, not_wrong_only = flags[0] if sifted else _select(matched, *flags)
         correct = not_wrong_only & ~no_click
         wrong = ~wrong_silent
         return np.stack((correct ^ wrong, correct & wrong)), wrong ^ fair[0]
@@ -404,17 +411,18 @@ def _strong_pulse_hits(adversary, fair, n, rng):
     return np.stack((single, ~single)), _select(same_basis, eve_bits, conj_bits)
 
 
-def _simulate_shard(model, adversary, n, rng):
+def _simulate_shard(model, adversary, n, rng, sifted=False):
     """Per-pulse planes for one shard; the RNG draw order is fixed.
 
     Each channel returns its stack of click-kind planes and the bit a
-    single click carries; that bit is ignored for the other kinds.
+    single click carries; that bit is ignored for the other kinds. When
+    ``sifted``, those of a mismatched pulse may be left unset.
     """
     fair = _fair_planes(rng, n)
     matched = ~(fair[1] ^ fair[2])
 
     if adversary is None:
-        kind, bit = _honest_hits(model, fair, matched, n, rng)
+        kind, bit = _honest_hits(model, fair, matched, n, rng, sifted)
     elif isinstance(adversary, ExtremeTimeShift):
         kind, bit = _time_shift_hits(model, fair, matched, n, rng)
     else:
@@ -481,9 +489,10 @@ def _pooled(work, items, width: int) -> Iterator:
             future.cancel()
 
 
-def _pulse_shards(model, adversary, n_pulses, seed, reduce) -> Iterator:
+def _pulse_shards(model, adversary, n_pulses, seed, reduce, sifted=False) -> Iterator:
     """Check the inputs, then simulate each shard and give ``reduce`` of its
-    arrays, one shard at a time, in shard order.
+    arrays, one shard at a time, in shard order; ``sifted`` for a ``reduce``
+    that reads matched pulses alone.
 
     The one input check for every entry point, made before any shard runs.
     A batch of more than one shard runs on the shard pool, where ``reduce``
@@ -502,7 +511,7 @@ def _pulse_shards(model, adversary, n_pulses, seed, reduce) -> Iterator:
 
     def shard(spec):
         n, seed_seq = spec
-        return reduce(_simulate_shard(model, adversary, n, np.random.default_rng(seed_seq)))
+        return reduce(_simulate_shard(model, adversary, n, np.random.default_rng(seed_seq), sifted))
 
     n_shards, specs = -(-n_pulses // SHARD_SIZE), _shard_specs(n_pulses, seed)
     width = min(_cpu_count(), n_shards)
@@ -539,7 +548,7 @@ def run_trials(
     is the basis-matched subset those tallies cover. Identical arguments
     produce a bit-identical batch.
     """
-    n_kind, n_err = sum(_pulse_shards(model, adversary, n_pulses, seed, _tally)).tolist()
+    n_kind, n_err = sum(_pulse_shards(model, adversary, n_pulses, seed, _tally, True)).tolist()
     return TrialBatch(
         n_pulses=sum(n_kind),
         n_single=n_kind[ClickKind.SINGLE],

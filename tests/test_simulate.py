@@ -405,26 +405,51 @@ class TestBlockDraws:
 
     @pytest.mark.parametrize("n", [1, 63, BLOCK + 1, SHARD_SIZE])
     @pytest.mark.parametrize(
-        "model",
+        "model, sifted",
         [
-            COH_MODEL,
-            CoherentDecoy(mu=0.5, eta=1.0, e_d=0.0),
-            CoherentDecoy(mu=0.5, eta=0.0, e_d=0.02),
-            SP_MODEL,
+            (COH_MODEL, False),
+            (CoherentDecoy(mu=0.5, eta=1.0, e_d=0.0), False),
+            (CoherentDecoy(mu=0.5, eta=0.0, e_d=0.02), False),
+            (SP_MODEL, False),
+            (COH_MODEL, True),
+            (CoherentDecoy(mu=0.5, eta=1.0, e_d=0.0), True),
+            (CoherentDecoy(mu=0.5, eta=0.0, e_d=0.02), True),
         ],
-        ids=["coherent", "errorless", "dark", "single-photon"],
+        ids=[
+            "coherent", "errorless", "dark", "single-photon",
+            "coherent-sifted", "errorless-sifted", "dark-sifted",
+        ],
     )
-    def test_shard_reads_one_uniform_per_pulse(self, n, model):
+    def test_shard_reads_one_uniform_per_pulse(self, n, model, sifted):
         # A shard reads its fair bytes' ceil(n/8) raw words, then one
         # uniform per pulse: a double, one raw word, for the single photon,
-        # and a 32-bit half of one for all six coherent cuts, ceil(n/2) raw
-        # words made or, in the dark, advanced over.
+        # and a 32-bit half of one for the coherent cuts, ceil(n/2) raw
+        # words made or, in the dark, advanced over. A sifted draw compares
+        # three cuts, not six, on the same uniforms.
         rng = np.random.default_rng(n)
-        _simulate_shard(model, None, n, rng)
+        _simulate_shard(model, None, n, rng, sifted)
         slot = -(-n // 2) if model.tag == "coherent" else n
         expected = np.random.default_rng(n)
         expected.bit_generator.random_raw(-(-n // 8) + slot)
         assert rng.random(3).tolist() == expected.random(3).tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mu=st.one_of(st.sampled_from([40.0, 1e300]), st.floats(1e-3, 100.0)),
+        eta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        e_d=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+        n=st.sampled_from([1, 63, BLOCK + 1, SHARD_SIZE]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    # Every matched cut is 0 or 2^32 and the sifted draw is skipped, while
+    # the mismatched cut 1 - p_h is 9 and the six-cut draw is made.
+    @example(mu=40.0, eta=1.0, e_d=0.0, n=BLOCK + 1, seed=0)
+    def test_sifted_coherent_shard_tallies_as_every_pulse_shard(self, mu, eta, e_d, n, seed):
+        model = CoherentDecoy(mu=mu, eta=eta, e_d=e_d)
+        sifted_rng, every_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        tally = _tally(_simulate_shard(model, None, n, sifted_rng, sifted=True))
+        assert np.array_equal(tally, _tally(_simulate_shard(model, None, n, every_rng)))
+        assert sifted_rng.bit_generator.state == every_rng.bit_generator.state
 
     @pytest.mark.parametrize("n", [1, 63, BLOCK + 1, SHARD_SIZE])
     def test_draw_of_no_live_threshold_is_advanced_over(self, n):
