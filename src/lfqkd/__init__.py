@@ -1,6 +1,5 @@
 """Loophole-free QKD post-processing: rates, thresholds, detection Monte Carlo."""
 
-from .numerics import binary_entropy
 from .rates import (
     CoherentDecoy,
     CoherentDecoyMemory,
@@ -9,7 +8,6 @@ from .rates import (
     RANDOM_ASSIGNMENT_ERROR_RATE,
     SinglePhoton,
     SourceModel,
-    SystemParams,
     channel_terms,
     key_rate,
     key_rate_single_click,
@@ -55,10 +53,8 @@ __all__ = [
     "SinglePhoton",
     "SourceModel",
     "StrongPulse",
-    "SystemParams",
     "ThresholdCurve",
     "TrialBatch",
-    "binary_entropy",
     "channel_terms",
     "compare_to_analytic",
     "curve_to_csv",

@@ -32,6 +32,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -73,19 +74,35 @@ class ConfigError(ValueError):
 
 
 def _emit(text: str, out: str | None) -> None:
-    """Print to stdout, or write atomically (temp file + rename) to ``out``."""
+    """Print to stdout, or write atomically (temp file + rename) to ``out``.
+
+    The file gets the mode a plain ``open`` would give it: a replaced file
+    keeps its own, and a new one gets 0666 less the umask. Only a regular
+    file is replaced; any other existing node (a FIFO, a device) exits 2.
+    """
     if out is None:
         sys.stdout.write(text)
         return
     target = os.path.abspath(out)
+    try:
+        mode = os.stat(target).st_mode
+    except (OSError, ValueError):  # nothing there yet, or no path at all
+        mode = None
     # abspath drops a trailing separator, so "dir/" would become a file "dir".
-    if os.path.basename(out) in ("", os.curdir, os.pardir) or os.path.isdir(target):
+    if os.path.basename(out) in ("", os.curdir, os.pardir) or (mode and stat.S_ISDIR(mode)):
         raise ConfigError(f"--out must name a file, not a directory: {out!r}")
+    if mode is None:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    elif not stat.S_ISREG(mode):
+        raise ConfigError(f"--out must name a regular file: {out!r}")
     directory = os.path.dirname(target)
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
+            os.chmod(tmp_path, stat.S_IMODE(mode))
             with os.fdopen(fd, "w", newline="") as fh:
                 fh.write(text)
             os.replace(tmp_path, target)

@@ -100,7 +100,8 @@ class SystemParams:
 
     A parameter the source does not use is None and is not checked. Dark
     counts are neglected by the closed forms, so there is no dark-count
-    field.
+    field. It and the models' ``system_params`` are kept only because the
+    benchmark tracer (``bench/tracing.py``) patches them by name.
     """
 
     eta: float | None = None
@@ -267,8 +268,10 @@ def channel_terms(tag: str, eta: np.ndarray, mu: float = math.nan, eta_c: float 
     probability eta_m and every term is conditional on the trigger.
     ``single-photon-memory`` is the single-photon source with eta_m in the
     role of eta. P1 is a float, the other two are like ``eta``, an array or a
-    float64. Once ``eta_c * mu`` underflows, the trigger probability rounds
-    to 0 and P1 takes its limit exp(-mu). The inputs are not checked.
+    float64. Where ``eta_c*mu*exp(-mu)`` is subnormal, P1 is taken as
+    exp(-mu) times the quotient ``eta_c*mu / (1 - exp(-eta_c*mu))``, which
+    is 1 once ``eta_c*mu`` is subnormal and its limit where it underflows to
+    0. The inputs are not checked.
     """
     if tag == "single-photon-memory":
         tag = "single-photon"
@@ -277,8 +280,12 @@ def channel_terms(tag: str, eta: np.ndarray, mu: float = math.nan, eta_c: float 
     if tag == "coherent":
         return -np.expm1(-eta * mu), mu * math.exp(-mu), eta
     if tag == "coherent-memory":
-        trigger = -math.expm1(-eta_c * mu)
-        p_1 = eta_c * mu * math.exp(-mu) / trigger if trigger else math.exp(-mu)
+        x, single = eta_c * mu, math.exp(-mu)
+        trigger = -math.expm1(-x)
+        if x * single >= 2.0**-1022:
+            p_1 = x * single / trigger
+        else:  # a subnormal x * single loses bits, down to P1 = 0
+            p_1 = single * (x / trigger if trigger else 1.0)
         return eta, p_1, eta
     raise ValueError(f"unknown model family {tag!r}; expected one of {MODEL_FAMILIES}")
 

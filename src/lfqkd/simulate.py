@@ -103,6 +103,9 @@ as lossless so the 50% loss is Eve's). The strong-pulse attack measures
 Alice's state in a uniform basis and resends ``n_photons`` copies of the
 result without loss: a matching Bob basis reproduces Eve's bit, a
 conjugate basis double-clicks except with probability 2**(1 - n_photons).
+Each pins the sifted Q_s at 1/2 (1/2 + 2**-n_photons for the strong pulse),
+where the scheme's rate is at most 0; ``traditional_stats`` gives the click
+rate and error rate that discarding no-clicks would keep instead.
 """
 
 from __future__ import annotations

@@ -24,9 +24,17 @@ that its lower end is positive and its upper end negative. The rate does not
 increase with e_d (``test_rate_nonincreasing_in_ed``), so the bisection, which
 evaluates only points of that grid, ends on the same cell. At ``tol`` 1e-9 a
 default-grid solve calls the rate 7 times: on e_d = 0 and 1/32, five secant
-steps, and a sixth stacked with its cells' ends, the check.
-``find_root_bisect``, one plain halving loop on every bracket, solves the
-points no check confirms, and all at ``tol`` < 2^-50.
+steps, and a sixth stacked with its cells' ends, the check (8 times at
+``tol`` 1e-12). ``find_root_bisect``, one plain halving loop on every
+bracket, solves the points no check confirms, and all at ``tol`` < 2^-50.
+
+No point of the default grids is bisected. Of 365 seeded random sweeps with
+``tol`` log-uniform in [2^-50, 1e-3], 85 of 67,881 points (0.13%) were, 82
+of them at ``tol`` below 1e-13. The check is strict, so a point whose rate
+is exactly 0 at an end of its cell is bisected from [0, 1/2]. At ``tol``
+2^-50 each default grid has one or two such points (the coherent grid's at
+e_d about 4.8e-5 and 9.3e-3), so its solve calls the rate 58 or 59 times,
+where about 9 would do.
 """
 
 from __future__ import annotations
@@ -149,7 +157,8 @@ def find_root_bisect(f, n: int, tol: float = DEFAULT_BISECT_TOL) -> np.ndarray:
 
 def _ed_rate(q_s: np.ndarray, p_1, y_1: np.ndarray):
     """The rate as a function of e_d, as a solve evaluates it; call it in an
-    ``np.errstate``. An e_d of shape ``(n,)`` or ``(k, n)`` gives a rate of its shape."""
+    ``np.errstate``. P1*Y1 and e_0*(1 - Y1) are computed once, here. An e_d
+    of shape ``(n,)`` or ``(k, n)`` gives a rate of its shape."""
     signal, assigned = p_1 * y_1, _assigned(y_1)
     return lambda e_d: _rate_kernel(q_s, e_d, e_d, y_1, signal, assigned, e_d.shape)[0]
 
@@ -219,6 +228,7 @@ def _solve_grid(
     other inputs once. Per ``SOLVE_CHUNK`` points (elementwise, so the same
     bits), in one ``np.errstate``: drops the points whose rate at e_d = 0,
     of one call at 0 and ``SECANT_START``, is nonpositive; solves the rest.
+    So a 500,001-point grid needs about 10 MB of temporaries, not 80 MB.
     """
     check_inputs(
         eta_c=eta_c if family == "coherent-memory" else None,

@@ -2,13 +2,19 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion. Every tolerance is pinned here; the Monte Carlo checks run at
-fixed seeds so the whole suite is deterministic.
+fixed seeds so the whole suite is deterministic. ``test_readme_claims_table``
+renders README's table of the paper's claims from computed values, and
+``-k claims_table -s`` prints it.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import math
+import shlex
 import time
+from pathlib import Path
 
 from lfqkd.cli import main
 from lfqkd.rates import (
@@ -37,6 +43,7 @@ from reference import (
     single_click_rate_sd,
 )
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 ATTACK_SEED = 6
 HONEST_SEEDS = range(100)
 
@@ -97,14 +104,22 @@ def test_fifty_percent_transmittance_floor():
     check("floor checks run in < 1 s", elapsed < 1.0, f"{elapsed:.3f} s")
 
 
-def test_bell_test_efficiency_is_derived():
-    # A no-click assigned to a fixed outcome gives the CHSH value
-    # S(eta) = 2*sqrt(2)*eta^2 + 2*(1 - eta)^2, which beats the local bound
-    # S = 2 only above eta = 2/(1 + sqrt(2)).
-    tol = 1e-12
+def bell_threshold(tol: float = 1e-12) -> float:
+    """The least detector efficiency of an efficiency-loophole-free Bell test.
+
+    A no-click assigned to a fixed outcome gives the CHSH value
+    S(eta) = 2*sqrt(2)*eta^2 + 2*(1 - eta)^2, which beats the local bound
+    S = 2 only above its root in (1/2, 1), 2/(1 + sqrt(2)).
+    """
     (bell,) = find_root_bisect(
         lambda eta: 2 * math.sqrt(2) * eta**2 + 2 * (1 - eta) ** 2 - 2, 0.5, 1.0, tol=tol
     ).tolist()
+    return bell
+
+
+def test_bell_test_efficiency_is_derived():
+    tol = 1e-12
+    bell = bell_threshold(tol)
     check(
         "an efficiency-loophole-free Bell test needs eta > 2/(1 + sqrt(2)), against "
         "the 50% floor of this scheme",
@@ -193,11 +208,18 @@ def traditional_rate(batch) -> float:
     return float(rate_terms(q_c, e_c, q_c, 1.0)[0])
 
 
+def time_shift_batch():
+    """The extreme time-shift attack on lossless, errorless single photons:
+    10^6 pulses at ATTACK_SEED."""
+    source = SinglePhoton(eta=1.0, e_d=0.0)
+    return run_trials(source, ExtremeTimeShift(), 1_000_000, seed=ATTACK_SEED)
+
+
 def test_attack_nullification():
     source = SinglePhoton(eta=1.0, e_d=0.0)
 
     start = time.perf_counter()
-    ts = run_trials(source, ExtremeTimeShift(), 1_000_000, seed=ATTACK_SEED)
+    ts = time_shift_batch()
     ts_elapsed = time.perf_counter() - start
     ts_stats = empirical_stats(ts)
     sigma_q = math.sqrt(0.25 / ts.n_pulses)
@@ -379,3 +401,89 @@ def test_cli_outputs_are_byte_identical(tmp_path):
         "identical CLI invocations produce byte-identical outputs",
         ok_curve and ok_sim,
     )
+
+
+def floor_cell(families) -> str:
+    """The floor of ``families`` as this repo shows it: the largest errorless
+    rate at 1/2 and the first point of each default curve."""
+    at_half = max(model_rate(family, 0.5, 0.0) for family in families)
+    firsts = sorted({f"{sweep_curve(family).eta[0]:.3f}" for family in families})
+    return f"rate {at_half:g} at 1/2; curves start at {', '.join(firsts)}"
+
+
+def claims_rows() -> list[tuple]:
+    """README's claims: (claim, paper, this repo, command, tests), every
+    value in the third column computed here. A command or test of None is
+    shown as a dash."""
+    ts = time_shift_batch()
+    return [
+        (
+            "QBER ceiling, single photon at η = 1", "11.0%",
+            f"{solve_threshold_ed('single-photon', 1.0):.6f}",
+            "lfqkd threshold --model single-photon --eta-min 1",
+            ["test_single_photon_qber_ceiling"],
+        ),
+        (
+            "Lowest tolerable transmittance η (single photon; coherent, μ 0.5)", "50%",
+            floor_cell(("single-photon", "coherent")),
+            "lfqkd threshold --model coherent",
+            ["test_fifty_percent_transmittance_floor", "test_errorless_rate_changes_sign_at_half"],
+        ),
+        (
+            "Lowest tolerable readout probability η_m (memory)", "50%",
+            floor_cell(("coherent-memory", "single-photon-memory")),
+            "lfqkd threshold --model coherent-memory",
+            ["test_fifty_percent_transmittance_floor", "test_errorless_rate_changes_sign_at_half"],
+        ),
+        (
+            "Detector efficiency an efficiency-loophole-free Bell test needs", "82.8%",
+            f"{bell_threshold():.6f}, 2/(1 + √2)",
+            None,
+            ["test_bell_test_efficiency_is_derived"],
+        ),
+        (
+            "Time-shift attack at η 1, e_d 0: traditional rate against this scheme's, "
+            "bits per sifted pulse", "1/2 against 0",
+            f"{traditional_rate(ts):.6f} against "
+            f"{key_rate_single_click(empirical_stats(ts)).rate:+.1e}",
+            "lfqkd simulate --model single-photon --eta 1 --ed 0 --adversary time-shift "
+            f"--n-pulses 1000000 --seed {ATTACK_SEED}",
+            ["test_attack_nullification"],
+        ),
+        (
+            "Coherent ceiling with double clicks counted", "neglected",
+            "pending: the exact click expectations of the coherent channel",
+            None, None,
+        ),
+        (
+            "Floor and ceiling at a finite number of pulses", "asymptotic",
+            "pending: a finite-key sampling bound on Q_s and E_s",
+            None, None,
+        ),
+    ]
+
+
+def claims_table(rows) -> str:
+    """README's claims table of ``rows``, as Markdown."""
+    lines = ["| claim | paper | this repo | shown by | checked by |", "|---|---|---|---|---|"]
+    for claim, paper, value, command, tests in rows:
+        shown = f"`{command}`" if command else "—"
+        checked = ", ".join(f"`{test}`" for test in tests) if tests else "—"
+        lines.append(f"| {claim} | {paper} | {value} | {shown} | {checked} |")
+    return "\n".join(lines) + "\n"
+
+
+def test_readme_claims_table():
+    rows = claims_rows()
+    table = claims_table(rows)
+    print(table, end="")
+    readme = README.read_text(encoding="utf-8")
+    check("README holds the claims table rendered from computed values", table in readme)
+    tests = "".join(path.read_text(encoding="utf-8") for path in README.parent.glob("tests/test_*.py"))
+    for _, _, _, command, names in rows:
+        if command:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(shlex.split(command)[1:])
+            check(f"`{command}` exits 0", code == 0)
+        for name in names or ():
+            check(f"the test {name} exists", f"def {name}(" in tests)

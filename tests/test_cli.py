@@ -9,6 +9,7 @@ import json
 import math
 import os
 import shlex
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -498,18 +499,38 @@ class TestSimulateCommand:
         ) == EXIT_OK
         assert json.loads(out.read_text())["n_pulses"] > 0
 
-    @pytest.mark.parametrize("name", ["newdir" + os.sep, "existing"])
+    @pytest.mark.parametrize("name", ["newdir" + os.sep, "existing", "fifo"])
     def test_out_naming_a_directory_exits_2(self, tmp_path, monkeypatch, name):
+        # A FIFO, like a device, is no regular file: it is not replaced.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "existing").mkdir()
+        os.mkfifo(tmp_path / "fifo")
         code, out, err = captured_main(
             ["simulate", "--model", "single-photon", "--eta", "0.5", "--n-pulses", "16",
              "--out", name]
         )
         assert (code, out) == (EXIT_INVALID_CONFIG, "")
         assert err.startswith("error: --out ") and repr(name) in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "fifo"]
         assert not any((tmp_path / "existing").iterdir())
+        assert stat.S_ISFIFO((tmp_path / "fifo").stat().st_mode)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_out_gets_the_mode_open_gives(self, tmp_path, umask):
+        # A new file gets 0666 less the umask, and a replaced one keeps its mode.
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        old.write_text("{}")
+        old.chmod(0o640)
+        previous = os.umask(umask)
+        try:
+            for out in (new, old):
+                argv = ["rate", "--model", "single-photon", "--eta", "1", "--ed", "0"]
+                assert run_cli(*argv, "--out", str(out)) == EXIT_OK
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+        assert json.loads(old.read_text())["rate"] == 1.0
 
     @pytest.mark.parametrize(
         "module, name, errno", [(tempfile, "mkstemp", 2), (os, "replace", 13)]

@@ -22,7 +22,7 @@ from lfqkd.rates import (
     model_terms,
     rate_terms,
 )
-from lfqkd.threshold import sweep_curve
+from lfqkd.threshold import MODEL_FAMILIES, sweep_curve
 import reference
 from reference import baseline_rate, reference_rate
 
@@ -216,6 +216,14 @@ class TestChannelModels:
     def test_memory_trigger_underflow_takes_limit(self, mu, eta_c):
         # eta_c * mu rounds to 0, so 1 - exp(-eta_c*mu) does too: P1 -> exp(-mu).
         assert eta_c * mu == 0.0
+        _, p_1, _ = terms("coherent-memory", 1.0, mu=mu, eta_c=eta_c)
+        assert p_1 == math.exp(-mu)
+
+    @pytest.mark.parametrize("mu, eta_c", [(1.0, 5e-324), (1.0, 1e-320), (10.0, 1e-305)])
+    def test_memory_subnormal_signal_keeps_its_bits(self, mu, eta_c):
+        # eta_c*mu*exp(-mu) is subnormal (0 at the first point), and
+        # 1 - exp(-eta_c*mu) is eta_c*mu to the last bit: P1 is exp(-mu).
+        assert 0.0 < eta_c * mu and eta_c * mu * math.exp(-mu) < 2.0**-1022
         _, p_1, _ = terms("coherent-memory", 1.0, mu=mu, eta_c=eta_c)
         assert p_1 == math.exp(-mu)
 
@@ -450,6 +458,34 @@ class TestRateIdentity:
             signal = breakdown.p_1 * breakdown.y_1
         expected = signal - breakdown.ec_cost - breakdown.pa_cost
         assert abs(breakdown.rate - expected) <= 1e-12
+
+
+#: The floor's margin: at eta = 1/2 + FLOOR_MARGIN the errorless rate is
+#: 5.8e-8 * P1, so 5.8e-308 for a coherent source at mu = 1e-300; at a
+#: subnormal mu it underflows to 0.
+FLOOR_MARGIN = 1e-4
+
+
+class TestFloor:
+    """The 50% floor of every family, from the algebra: at e_d = 0 there is
+    no error-correction cost, and Y1 = eta, so the rate is
+    P1*eta*(1 - H2((1 - eta)/(2*eta))), which the clamp holds at 0 for
+    eta <= 1/2 and which is positive above."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family=st.sampled_from(MODEL_FAMILIES),
+        mu=st.floats(1e-300, 10.0),
+        eta_c=st.floats(0.0, 1.0, exclude_min=True),
+        eta=st.floats(0.0, 0.5, exclude_min=True) | st.floats(0.5 + FLOOR_MARGIN, 1.0),
+    )
+    @example(family="coherent", mu=1e-300, eta_c=1.0, eta=0.5 + FLOOR_MARGIN)
+    @example(family="coherent-memory", mu=10.0, eta_c=5e-324, eta=0.5)
+    @example(family="single-photon-memory", mu=0.5, eta_c=0.01, eta=5e-324)
+    def test_errorless_rate_changes_sign_at_half(self, family, mu, eta_c, eta):
+        q_s, p_1, y_1 = channel_terms(family, np.array([eta]), mu, eta_c)
+        (rate,) = rate_terms(q_s, np.zeros(1), p_1, y_1)[0].tolist()
+        assert rate <= 0.0 if eta <= 0.5 else rate > 0.0
 
 
 # Probabilities with their edges drawn often, and coherent sources up to
